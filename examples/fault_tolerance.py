@@ -11,7 +11,7 @@ Run with:  python examples/fault_tolerance.py
 import random
 
 from repro.bench.harness import build_lambdafs, drive
-from repro.faas.chaos import NameNodeKiller
+from repro.chaos.faults import NameNodeKiller
 from repro.namespace.treegen import TreeSpec, generate_tree
 from repro.sim import AllOf, Environment
 

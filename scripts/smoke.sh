@@ -38,11 +38,14 @@ EOF
 
 # Profiler smoke: a profiled microbenchmark; the Chrome trace must be
 # valid (finite, non-negative timestamps), the stage attribution must
-# tile each op's latency exactly, and a self-diff must be clean.
+# tile each op's latency exactly, a self-diff must be clean, and the
+# regenerated baseline must equal the committed BENCH_profile.json
+# byte for byte (span-stream changes must not move the attribution).
 python -m repro profile run --clients 32 --ops 24 --warmup 16 \
     --deployments 4 --out "$out/profile" \
-    --bench-json BENCH_profile.json > "$out/profile.txt"
+    --bench-json "$out/BENCH_profile.json" > "$out/profile.txt"
 grep -q "critical-path latency by op type" "$out/profile.txt"
+cmp "$out/BENCH_profile.json" BENCH_profile.json
 python - "$out" <<'EOF'
 import json
 import math
@@ -64,7 +67,7 @@ for record in profile.ops:
     assert gap < 1e-6, (record.op, record.span_id, gap)
 diff = diff_profiles(profile, profile)
 assert not diff.regressions(), "self-diff reported regressions"
-bench = json.load(open("BENCH_profile.json"))
+bench = json.load(open(f"{out}/BENCH_profile.json"))
 assert bench["ops"], "bench json has no op summaries"
 print(f"profile smoke ok: {len(profile.ops)} ops attributed, "
       f"{len(events)} trace events, self-diff clean")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Callable, Generator
+from typing import Callable, Generator
 
 from repro.sim import Environment, Resource
 
@@ -50,17 +50,3 @@ class MetadataServer:
             yield slot
             self.busy_cpu_ms += cpu_ms
             yield self.env.timeout(cpu_ms)
-
-
-class ServerfulRpc:
-    """Client-side TCP RPC to a serverful server (fixed addresses)."""
-
-    def __init__(self, env: Environment, latency_model: Any) -> None:
-        self.env = env
-        self.latency = latency_model
-
-    def call(self, server: MetadataServer, body: Callable[[], Generator]) -> Generator:
-        yield self.env.timeout(self.latency.tcp_oneway())
-        result = yield from server.serve(body)
-        yield self.env.timeout(self.latency.tcp_oneway())
-        return result

@@ -24,7 +24,7 @@ from repro.bench.harness import (
 )
 from repro.core import OpType
 from repro.core.subtree import SubtreeConfig
-from repro.faas.chaos import NameNodeKiller
+from repro.chaos.faults import NameNodeKiller
 from repro.metastore import NdbConfig
 from repro.metrics import VM_VCPU_SECOND_USD, latency_cdf, percentile
 from repro.namespace.treegen import TreeSpec, flat_directory, generate_tree

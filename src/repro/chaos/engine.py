@@ -1,8 +1,8 @@
 """The chaos engine: scheduled fault activation + injection queries.
 
 One :class:`ChaosEngine` attaches to ``env.chaos`` (mirroring
-``env.tracer``/``env.metrics``: instrumented sites pay a single
-``is None`` check when chaos is off).  :meth:`start` runs a
+``env.tracer``: instrumented sites pay a single ``is None`` check when
+chaos is off).  :meth:`start` runs a
 :class:`~repro.chaos.scenario.Scenario` — a scheduler process walks
 the activation/deactivation edges in time order, and while a fault is
 active the fabric/store/coordinator hooks consult the engine on every

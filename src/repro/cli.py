@@ -308,7 +308,6 @@ def _run_profiled_micro(args):
 
 
 def _cmd_profile(args) -> int:
-    import json
     import os
 
     from repro.profile import (
@@ -347,17 +346,11 @@ def _cmd_profile(args) -> int:
             for kind in sorted(paths):
                 print(f"  {kind:8s} {paths[kind]}")
         if args.bench_json:
-            summary = profile.to_dict()["summary"]
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {
-                        "version": 1,
-                        "event_hash": handle.tracer.event_hash(),
-                        "ops": summary,
-                    },
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
+            _write_bench_json(args.bench_json, {
+                "version": 1,
+                "event_hash": handle.tracer.event_hash(),
+                "ops": profile.to_dict()["summary"],
+            })
         _print_trace_summary(handle.tracer)
         return 0
 
@@ -410,22 +403,23 @@ def _chaos_run_config(args, detect: Optional[bool] = None):
     )
 
 
-def _chaos_result_lines(result) -> List[str]:
-    lines = [result.summary(), result.report.render()]
+def _report_chaos_run(result, verbose: bool) -> int:
+    """Print one scenario run's verdict; returns its exit code."""
     injections = [e for e in result.engine.log if e.action == "inject"]
-    lines.append(
-        f"fault log: {len(result.engine.log)} event(s), "
-        f"{len(injections)} injection(s), hash {result.log_hash}"
-    )
+    print(result.summary())
+    print(result.report.render())
+    print(f"fault log: {len(result.engine.log)} event(s), "
+          f"{len(injections)} injection(s), hash {result.log_hash}")
     if result.incidents is not None:
-        lines.append("")
-        lines.append(result.incidents.render())
-    return lines
+        print()
+        print(result.incidents.render())
+    if verbose:
+        for event in result.engine.log:
+            print(f"  {event}")
+    return 0 if result.passed else 1
 
 
 def _cmd_chaos(args) -> int:
-    import json
-
     from repro.chaos import (
         EXPECTED_FAIL,
         MATRIX,
@@ -457,12 +451,7 @@ def _cmd_chaos(args) -> int:
                   file=sys.stderr)
             return 2
         result = run_scenario(scenario, _chaos_run_config(args))
-        for line in _chaos_result_lines(result):
-            print(line)
-        if args.verbose:
-            for event in result.engine.log:
-                print(f"  {event}")
-        return 0 if result.passed else 1
+        return _report_chaos_run(result, args.verbose)
 
     if args.chaos_command == "matrix":
         scenarios = builtin_scenarios()
@@ -545,16 +534,49 @@ def _cmd_chaos(args) -> int:
             rows,
         ))
         if args.bench_json:
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {"version": 1, "seed": args.seed, "scenarios": records},
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
+            _write_bench_json(args.bench_json, {
+                "version": 1, "seed": args.seed, "scenarios": records,
+            })
         print("matrix:", "PASS" if exit_code == 0 else "FAIL")
         return exit_code
 
     raise ValueError(f"unknown chaos subcommand {args.chaos_command!r}")
+
+
+def _write_bench_json(path: str, payload: dict) -> None:
+    """Write a BENCH baseline file (sorted keys, indent 2)."""
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    print(f"\nbench json: {path}")
+
+
+def _check_baseline(records, path: str, fields, label: str) -> int:
+    """Diff ``records`` against the baseline at ``path`` on ``fields``;
+    prints the verdict, returns 1 on drift.  Baseline scenarios absent
+    from ``records`` (a ``--scenarios`` subset) are skipped."""
+    import json
+
+    with open(path) as fh:
+        baseline = json.load(fh)
+    drift = []
+    for name, expected in sorted(baseline["scenarios"].items()):
+        got = records.get(name)
+        if got is None:
+            continue
+        for field in fields:
+            if got[field] != expected[field]:
+                drift.append(
+                    f"{name}: {field} {expected[field]!r} -> {got[field]!r}"
+                )
+    if not drift:
+        print(f"\n{label} baseline: OK")
+        return 0
+    print(f"\n{label} baseline drift:")
+    for line in drift:
+        print(f"  {line}")
+    return 1
 
 
 def _incident_rules(args):
@@ -701,35 +723,16 @@ def _cmd_incidents(args) -> int:
             ["scenario", "verdict", "incidents", "MTTD", "top suspect"], rows
         ))
         if args.bench_json:
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {"version": 1, "seed": args.seed,
-                     "detection_window_ms": config.slo.detection_window_ms,
-                     "scenarios": records},
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
+            _write_bench_json(args.bench_json, {
+                "version": 1, "seed": args.seed,
+                "detection_window_ms": config.slo.detection_window_ms,
+                "scenarios": records,
+            })
         if args.baseline:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-            drift = []
-            for name, expected in sorted(baseline["scenarios"].items()):
-                got = records.get(name)
-                if got is None:
-                    continue
-                for field in ("passed", "incidents", "top_suspect"):
-                    if got[field] != expected[field]:
-                        drift.append(
-                            f"{name}: {field} {expected[field]!r} -> "
-                            f"{got[field]!r}"
-                        )
-            if drift:
-                exit_code = 1
-                print("\ndetection baseline drift:")
-                for line in drift:
-                    print(f"  {line}")
-            else:
-                print("\ndetection baseline: OK")
+            exit_code |= _check_baseline(
+                records, args.baseline, ("passed", "incidents", "top_suspect"),
+                label="detection",
+            )
         print("detection matrix:", "PASS" if exit_code == 0 else "FAIL")
         return exit_code
 
@@ -755,8 +758,6 @@ def _resilience_config(args):
 
 
 def _cmd_resilience(args) -> int:
-    import json
-
     from repro.chaos import (
         EXPECTED_FAIL,
         RESILIENCE_MATRIX,
@@ -786,12 +787,7 @@ def _cmd_resilience(args) -> int:
                   f"(try: repro resilience run --list)", file=sys.stderr)
             return 2
         result = run_scenario(scenario, _resilience_config(args))
-        for line in _chaos_result_lines(result):
-            print(line)
-        if args.verbose:
-            for event in result.engine.log:
-                print(f"  {event}")
-        return 0 if result.passed else 1
+        return _report_chaos_run(result, args.verbose)
 
     if args.resilience_command == "matrix":
         names = list(args.scenarios) if args.scenarios else default_names
@@ -847,34 +843,15 @@ def _cmd_resilience(args) -> int:
             rows,
         ))
         if args.bench_json:
-            with open(args.bench_json, "w") as fh:
-                json.dump(
-                    {"version": 1, "seed": args.seed, "scenarios": records},
-                    fh, indent=2, sort_keys=True,
-                )
-            print(f"\nbench json: {args.bench_json}")
+            _write_bench_json(args.bench_json, {
+                "version": 1, "seed": args.seed, "scenarios": records,
+            })
         if args.baseline:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-            drift = []
-            for name, expected in sorted(baseline["scenarios"].items()):
-                got = records.get(name)
-                if got is None:
-                    continue
-                for field in ("passed", "deadline_violations",
-                              "breaker_opened", "shed"):
-                    if got[field] != expected[field]:
-                        drift.append(
-                            f"{name}: {field} {expected[field]!r} -> "
-                            f"{got[field]!r}"
-                        )
-            if drift:
-                exit_code = 1
-                print("\nresilience baseline drift:")
-                for line in drift:
-                    print(f"  {line}")
-            else:
-                print("\nresilience baseline: OK")
+            exit_code |= _check_baseline(
+                records, args.baseline,
+                ("passed", "deadline_violations", "breaker_opened", "shed"),
+                label="resilience",
+            )
         print("resilience matrix:", "PASS" if exit_code == 0 else "FAIL")
         return exit_code
 

@@ -176,15 +176,6 @@ class Coordinator:
                 inv_id=inv.inv_id, deployment=deployment, paths=inv.paths,
                 prefix=prefix, initiator=initiator, members=len(targets),
             )
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc("coord_inv_rounds_total", deployment=deployment)
-            if targets:
-                metrics.inc(
-                    "coord_invs_sent_total", len(targets), deployment=deployment
-                )
-            metrics.observe("coord_fanout", float(len(targets)))
-        round_started = self.env.now
         pending = _PendingInv(self.env, set(targets))
         self._pending[inv.inv_id] = pending
         for member_id, handler in targets.items():
@@ -192,8 +183,6 @@ class Coordinator:
             self.env.process(self._deliver(inv, member_id, handler, round_span))
         yield pending.event
         self._pending.pop(inv.inv_id, None)
-        if metrics is not None:
-            metrics.observe("coord_ack_latency_ms", self.env.now - round_started)
         if tracer is not None:
             tracer.end(round_span)
         return len(targets)
@@ -201,8 +190,6 @@ class Coordinator:
     def ack(self, inv_id: int, member_id: str) -> None:
         """Record one member's ACK for ``inv_id``."""
         self.acks_received += 1
-        if self.env.metrics is not None:
-            self.env.metrics.inc("coord_acks_total")
         tracer = self.env.tracer
         if tracer is not None:
             tracer.point("coord.ack", member_id, inv_id=inv_id)

@@ -174,16 +174,11 @@ class LambdaFSClient:
         tracer = env.tracer
         op_span = None
         if tracer is not None:
-            if self.tenant is None:
-                op_span = tracer.begin(
-                    "client.op", self.id, op=op.value, path=path,
-                    request_id=request.request_id,
-                )
-            else:
-                op_span = tracer.begin(
-                    "client.op", self.id, op=op.value, path=path,
-                    request_id=request.request_id, tenant=self.tenant,
-                )
+            tenant = {} if self.tenant is None else {"tenant": self.tenant}
+            op_span = tracer.begin(
+                "client.op", self.id, op=op.value, path=path,
+                request_id=request.request_id, **tenant,
+            )
         try:
             response, via, cache_hit = yield from self._submit(
                 request, deployment, op_span
@@ -194,28 +189,7 @@ class LambdaFSClient:
             raise
         if tracer is not None:
             tracer.end(op_span, ok=response.ok, via=via, cache_hit=cache_hit)
-        latency = env.now - start
-        self._observe(latency)
-        metrics = env.metrics
-        if metrics is not None:
-            metrics.inc("ops_total", op=op.value)
-            if not response.ok:
-                metrics.inc("ops_failed_total", op=op.value)
-            metrics.observe("op_latency_ms", latency, op=op.value)
-            tenant = self.tenant
-            if tenant is not None:
-                # Separate tenant_* families (not tenant labels on the
-                # fleet-global ones): the chaos verifier sums every
-                # series in a family, so labelled duplicates would
-                # double-count each op in the recovery-SLO gate.
-                metrics.inc("tenant_ops_total", op=op.value, tenant=tenant)
-                if not response.ok:
-                    metrics.inc("tenant_ops_failed_total", tenant=tenant)
-                metrics.observe("tenant_op_latency_ms", latency, tenant=tenant)
-                if cache_hit:
-                    metrics.inc("tenant_cache_hits_total", tenant=tenant)
-                else:
-                    metrics.inc("tenant_cache_misses_total", tenant=tenant)
+        self._observe(env.now - start)
         self.fs.metrics.record(
             op=op.value, start_ms=start, end_ms=env.now,
             ok=response.ok, via=via, cache_hit=cache_hit,
@@ -228,7 +202,6 @@ class LambdaFSClient:
     ) -> Generator:
         env = self.fs.env
         tracer = env.tracer
-        metrics = env.metrics
         attempt = 0
         resubmit_of = None
         while True:
@@ -279,11 +252,6 @@ class LambdaFSClient:
                 )
                 request.trace_parent = rpc_span.span_id
             try:
-                if metrics is not None:
-                    metrics.inc(
-                        "rpc_requests_total",
-                        transport="tcp" if use_tcp else "http",
-                    )
                 if use_tcp:
                     self.stats_tcp_rpcs += 1
                     response = yield from self._tcp_call(connection, request)
@@ -307,8 +275,12 @@ class LambdaFSClient:
                         retry = False
                     if retry:
                         self.stats_retries += 1
-                        if metrics is not None:
-                            metrics.inc("rpc_retries_total", error="Shed")
+                        if tracer is not None:
+                            tracer.point(
+                                "rpc.retry", self.id, parent=op_span,
+                                attempt=attempt, error="Shed",
+                                resubmit_of=resubmit_of,
+                            )
                         yield from self._backoff(request, attempt, op_span)
                         continue
                     return response, "tcp" if use_tcp else "http", False
@@ -322,8 +294,6 @@ class LambdaFSClient:
                 self.stats_retries += 1
                 if res_on:
                     breaker.record_failure(env.now)
-                if metrics is not None:
-                    metrics.inc("rpc_retries_total", error=type(exc).__name__)
                 if tracer is not None:
                     tracer.end(rpc_span, ok=False, error=type(exc).__name__)
                     # Resubmission linkage: the next attempt's span
@@ -355,18 +325,16 @@ class LambdaFSClient:
     def _backoff(self, request: MetadataRequest, attempt: int, op_span) -> Generator:
         """Full-jitter backoff before retry ``attempt + 1``.
 
-        Full jitter (uniform over [0, capped exponential]) rather than
-        the legacy centred jitter: decorrelating a fleet of retriers
-        is exactly what §3.2's backoff exists for.  With a deadline,
-        the sleep never extends past the op's remaining budget.
+        Full jitter (uniform over [0, capped exponential]):
+        decorrelating a fleet of retriers is exactly what §3.2's
+        backoff exists for.  With a deadline, the sleep never extends
+        past the op's remaining budget.
         """
         env = self.fs.env
         backoff = self.config.retry.full_jitter_delay(attempt, self._rng)
         res = self._res
         if res is not None and res.active and request.deadline_ms is not None:
             backoff = min(backoff, max(0.0, request.deadline_ms - env.now))
-        if env.metrics is not None:
-            env.metrics.inc("rpc_backoff_ms_total", backoff)
         backoff_span = None
         tracer = env.tracer
         if tracer is not None:
@@ -406,8 +374,10 @@ class LambdaFSClient:
             return outcome[call]
         # Straggler: abandon this request and resubmit elsewhere.
         self.stats_stragglers += 1
-        if env.metrics is not None:
-            env.metrics.inc("client_stragglers_total")
+        if env.tracer is not None:
+            env.tracer.point("client.straggler", self.id,
+                             parent=request.trace_parent,
+                             threshold_ms=threshold)
         call.defused()
         raise RequestTimeout(f"straggler after {threshold:.1f} ms")
 
@@ -468,8 +438,10 @@ class LambdaFSClient:
                 # Count entries (not extensions): a spike during an
                 # active cooldown merely prolongs it.
                 self.stats_antithrash_entries += 1
-                if self.fs.env.metrics is not None:
-                    self.fs.env.metrics.inc("client_antithrash_entries_total")
+                tracer = self.fs.env.tracer
+                if tracer is not None:
+                    tracer.point("client.antithrash", self.id,
+                                 latency_ms=latency_ms)
             self._antithrash_until = (
                 self.fs.env.now + self.config.antithrash_cooldown_ms
             )

@@ -279,7 +279,7 @@ class LambdaNameNode:
                 bounded_stale=True, staleness_ms=staleness,
                 stale_bound_ms=res.config.stale_read_bound_ms,
             )
-        res.note_stale_read(staleness)
+        res.stale_reads += 1
         self._stale_ms = staleness
         if request.op is OpType.READ_FILE:
             return self._file_view(inode), True

@@ -78,9 +78,6 @@ class DataNode:
         tracer = self.env.tracer
         if tracer is not None:
             tracer.point("dn.kill", self.id, rack=self.rack)
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc("dn_kills_total", rack=self.rack)
 
     def restart(self) -> None:
         """Bring the node back with its disk intact."""
@@ -130,6 +127,8 @@ class DataNode:
     def heartbeat_loop(self) -> Generator:
         """Tick forever; record a beat at the tracker only while alive."""
         interval = self.fleet.config.heartbeat_interval_ms
+        # Direct registry call: one beat per node per tick, and a point
+        # would add a span per tick.
         metrics = self.env.metrics
         while True:
             yield self.env.timeout(interval)

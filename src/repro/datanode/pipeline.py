@@ -37,7 +37,6 @@ def write_pipeline(
     env = fleet.env
     config = fleet.config
     tracer = env.tracer
-    metrics = env.metrics
     root = None
     if tracer is not None:
         root = tracer.begin(
@@ -64,8 +63,6 @@ def write_pipeline(
                 tracer.point(
                     "dn.pipeline_break", node_id, parent=root, position=position
                 )
-            if metrics is not None:
-                metrics.inc("dn_pipeline_breaks_total")
             break
         disk = None
         if tracer is not None:
@@ -83,10 +80,6 @@ def write_pipeline(
             tracer.point("dn.ack", node_id, parent=root, block=block_id)
     if stored:
         fleet.register_replicas(block_id, stored)
-    if metrics is not None:
-        metrics.inc("dn_chunks_total", amount=float(len(stored)))
-        if len(stored) < len(targets):
-            metrics.inc("dn_partial_pipelines_total")
     if tracer is not None:
         tracer.end(root, stored=len(stored))
     return stored

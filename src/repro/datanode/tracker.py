@@ -47,14 +47,8 @@ class HeartbeatTracker:
             tracer = self.env.tracer
             if tracer is not None:
                 tracer.point("dn.alive", node_id)
-            metrics = self.env.metrics
-            if metrics is not None:
-                metrics.inc("dn_revivals_total")
 
     # -- liveness queries ----------------------------------------------
-    def is_live(self, node_id: str) -> bool:
-        return node_id not in self._dead
-
     def live(self) -> List[str]:
         """Sorted ids of nodes currently considered alive."""
         return sorted(
@@ -76,14 +70,10 @@ class HeartbeatTracker:
                 self._dead.add(node_id)
                 self.deaths += 1
                 newly_dead.append(node_id)
-        if newly_dead:
-            tracer = self.env.tracer
-            metrics = self.env.metrics
+        tracer = self.env.tracer
+        if tracer is not None:
             for node_id in newly_dead:
-                if tracer is not None:
-                    tracer.point("dn.dead", node_id, cutoff_ms=self.cutoff_ms)
-                if metrics is not None:
-                    metrics.inc("dn_deaths_total")
+                tracer.point("dn.dead", node_id, cutoff_ms=self.cutoff_ms)
         return newly_dead
 
     def scan_loop(self) -> Generator:

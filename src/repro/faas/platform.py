@@ -131,12 +131,10 @@ class FunctionInstance:
         """Tear the instance down (scale-in, eviction, or fault test)."""
         if self.state == "terminated":
             return
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc(
-                "faas_terminations_total",
-                deployment=self.deployment.name, reason=reason,
-            )
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.point("faas.terminate", self.id,
+                         deployment=self.deployment.name, reason=reason)
         was_provisioning = self.state == "provisioning"
         self.state = "terminated"
         self.terminated_at_ms = self.env.now
@@ -380,10 +378,10 @@ class FaaSPlatform:
         deployment.instances.append(instance)
         deployment.all_instances.append(instance)
         self.cold_starts += 1
-        if self.env.metrics is not None:
-            self.env.metrics.inc(
-                "faas_cold_starts_total", deployment=deployment.name
-            )
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.point("faas.provision", instance.id,
+                         deployment=deployment.name)
         self._record(ScaleEvent(
             self.env.now, deployment.name, "provision", deployment.live_count()
         ))
@@ -402,17 +400,7 @@ class FaaSPlatform:
         """
         deployment = self.deployments[deployment_name]
         env = self.env
-        # One flag read covers metrics + tracer on the invoker path.
-        if env.instrumented:
-            metrics = env.metrics
-            tracer = env.tracer
-        else:
-            metrics = None
-            tracer = None
-        if metrics is not None:
-            metrics.inc(
-                "faas_invocations_total", deployment=deployment_name
-            )
+        tracer = env.tracer if env.instrumented else None
         queue_span = None
         if tracer is not None:
             # Invoker-queue time: from arrival at the invoker until an

@@ -54,10 +54,6 @@ class _KeyLock:
         # hot ancestor row.
         self.exclusive_holder: Any = None
 
-    @property
-    def exclusive_held(self) -> bool:
-        return self.exclusive_holder is not None
-
     def grant(self, owner: Any, mode: LockMode) -> None:
         self.holders[owner] = mode
         if mode is LockMode.EXCLUSIVE:
@@ -102,14 +98,9 @@ class LockManager:
         budget = self.default_timeout_ms if timeout_ms is None else timeout_ms
         lock = self._locks.setdefault(key, _KeyLock())
         env = self.env
-        # One env.instrumented read covers tracer + metrics on the
-        # hottest lock path (every row access comes through here).
-        if env.instrumented:
-            tracer = env.tracer
-            metrics = env.metrics
-        else:
-            tracer = None
-            metrics = None
+        # One env.instrumented read covers the tracer on the hottest
+        # lock path (every row access comes through here).
+        tracer = env.tracer if env.instrumented else None
 
         held = lock.holders.get(owner)
         if held is not None:
@@ -146,12 +137,9 @@ class LockManager:
             # Deadline-capped callers can arrive with no wait budget
             # left; fail fast without enqueuing (no events, no timer —
             # detached runs never reach here, so hashes are safe).
-            if metrics is not None:
-                metrics.inc("lock_waits_total", mode=mode.value)
-                metrics.inc("lock_wait_timeouts_total")
             if tracer is not None:
                 tracer.point("lock.wait_timeout", repr(owner), key=repr(key),
-                             budget_ms=budget)
+                             mode=mode.value, budget_ms=budget)
             raise LockTimeout(f"lock wait on {key!r} exceeded {budget} ms")
 
         wait_span = None
@@ -166,26 +154,19 @@ class LockManager:
                 key=repr(key), mode=mode.value,
                 epoch=getattr(owner, "_lock_epoch", None),
             )
-        if metrics is not None:
-            metrics.inc("lock_waits_total", mode=mode.value)
-        wait_started = self.env.now
         request = _LockRequest(self.env, owner, mode)
         lock.queue.append(request)
         timer = self.env.timeout(budget)
         result = yield request | timer
-        if metrics is not None:
-            metrics.observe("lock_wait_ms", self.env.now - wait_started)
         if request not in result:
             try:
                 lock.queue.remove(request)
             except ValueError:
                 pass
-            if metrics is not None:
-                metrics.inc("lock_wait_timeouts_total")
             if tracer is not None:
                 tracer.end(wait_span, granted=False, budget_ms=budget)
                 tracer.point("lock.wait_timeout", repr(owner), key=repr(key),
-                             budget_ms=budget)
+                             mode=mode.value, budget_ms=budget)
             raise LockTimeout(f"lock wait on {key!r} exceeded {budget} ms")
         if tracer is not None:
             tracer.end(wait_span, granted=True)

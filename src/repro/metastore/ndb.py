@@ -425,10 +425,9 @@ class Transaction:
     def commit(self) -> Generator:
         """Apply staged writes and release all locks."""
         self._check_open()
-        env = self.store.env
-        instrumented = env.instrumented
         if self._staged:
-            tracer = env.tracer if instrumented else None
+            env = self.store.env
+            tracer = env.tracer if env.instrumented else None
             commit_span = None
             if tracer is not None:
                 commit_span = tracer.begin(
@@ -448,8 +447,6 @@ class Transaction:
                 self.store._apply_write(key, value)
             self.store.stats.writes += len(self._staged)
         self.store.stats.commits += 1
-        if instrumented and env.metrics is not None:
-            env.metrics.inc("store_txns_total", outcome="commit")
         self._finish(committed=True)
 
     def abort(self) -> None:
@@ -457,9 +454,6 @@ class Transaction:
         if self._done:
             return
         self.store.stats.aborts += 1
-        env = self.store.env
-        if env.instrumented and env.metrics is not None:
-            env.metrics.inc("store_txns_total", outcome="abort")
         self._finish(committed=False)
 
     # -- internals -------------------------------------------------------------

@@ -39,9 +39,6 @@ class GeneratedTree:
         """``count`` file paths sampled uniformly with replacement."""
         return [rng.choice(self.files) for _ in range(count)]
 
-    def sample_directories(self, rng: random.Random, count: int) -> List[str]:
-        return [rng.choice(self.directories) for _ in range(count)]
-
 
 def generate_tree(spec: TreeSpec) -> GeneratedTree:
     """Generate directory and file paths for ``spec`` (no I/O).

@@ -79,15 +79,18 @@ class ResilienceManager:
     ) -> None:
         """One op gave up (or was refused) because its budget ran out."""
         self.deadline_expirations += 1
-        env = self.env
-        if env.metrics is not None:
-            env.metrics.inc("resilience_deadline_expired_total", stage=stage)
-        if env.tracer is not None:
-            env.tracer.point(
-                "resilience.deadline", actor or stage,
-                parent=request.trace_parent, stage=stage,
-                request_id=request.request_id,
-            )
+        self._point(
+            "resilience.deadline", actor or stage,
+            parent=request.trace_parent, stage=stage,
+            request_id=request.request_id,
+        )
+
+    def _point(self, kind: str, actor: str, **attrs) -> None:
+        """Report one control-plane event on the span stream (telemetry
+        derives the ``resilience_*`` counters from it)."""
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.point(kind, actor, **attrs)
 
     # -- breakers -----------------------------------------------------------
     def breaker(self, edge: str, destination: str) -> CircuitBreaker:
@@ -110,22 +113,14 @@ class ResilienceManager:
 
     def _log_transition(self, event: BreakerTransition) -> None:
         self.transitions.append(event)
-        env = self.env
-        if env.metrics is not None:
-            env.metrics.inc(
-                "resilience_breaker_transitions_total", to=event.to_state
-            )
-        if env.tracer is not None:
-            env.tracer.point(
-                "resilience.breaker", event.name,
-                from_state=event.from_state, to_state=event.to_state,
-                reason=event.reason,
-            )
+        self._point(
+            "resilience.breaker", event.name,
+            from_state=event.from_state, to_state=event.to_state,
+            reason=event.reason,
+        )
 
     def breaker_rejected(self, edge: str) -> None:
-        if self.env.metrics is not None:
-            self.env.metrics.inc("resilience_breaker_rejections_total",
-                                 edge=edge)
+        self._point("resilience.breaker_reject", edge, edge=edge)
 
     def breaker_opens(self) -> int:
         return sum(b.opens for b in self._breakers.values())
@@ -153,8 +148,7 @@ class ResilienceManager:
 
     def budget_exhausted(self) -> None:
         self.budget_exhaustions += 1
-        if self.env.metrics is not None:
-            self.env.metrics.inc("resilience_retry_budget_exhausted_total")
+        self._point("resilience.budget_exhausted", "client")
 
     # -- shed bookkeeping ---------------------------------------------------
     def shed_response(
@@ -168,16 +162,11 @@ class ResilienceManager:
         self.sheds += 1
         if reason == "deadline":
             self.note_deadline_expired(request, stage)
-        env = self.env
-        if env.metrics is not None:
-            env.metrics.inc("resilience_sheds_total",
-                            stage=stage, reason=reason)
-        if env.tracer is not None:
-            env.tracer.point(
-                "resilience.shed", actor or stage,
-                parent=request.trace_parent, stage=stage, reason=reason,
-                request_id=request.request_id,
-            )
+        self._point(
+            "resilience.shed", actor or stage,
+            parent=request.trace_parent, stage=stage, reason=reason,
+            request_id=request.request_id,
+        )
         return MetadataResponse(
             request_id=request.request_id, ok=False,
             error=f"shed at {stage}: {reason}", shed=True,
@@ -186,14 +175,7 @@ class ResilienceManager:
     def note_deadline_violation(self, stage: str) -> None:
         """Tripwire: work executed past its deadline (gate 7 wants 0)."""
         self.deadline_violations += 1
-        if self.env.metrics is not None:
-            self.env.metrics.inc("resilience_deadline_violations_total",
-                                 stage=stage)
-
-    def note_stale_read(self, staleness_ms: float) -> None:
-        self.stale_reads += 1
-        if self.env.metrics is not None:
-            self.env.metrics.inc("resilience_stale_reads_total")
+        self._point("resilience.deadline_violation", stage, stage=stage)
 
     # -- reporting ----------------------------------------------------------
     def snapshot(self) -> dict:

@@ -39,14 +39,11 @@ class TcpConnection:
 
     def close(self) -> None:
         if self.alive:
-            env = self.server.env
-            if env.metrics is not None:
-                env.metrics.inc(
-                    "tcp_connections_closed_total", deployment=self.deployment
-                )
-            tracer = env.tracer
+            tracer = self.server.env.tracer
             if tracer is not None:
                 tracer.connection_closed()
+                tracer.point("tcp.close", f"conn{self.id}",
+                             deployment=self.deployment)
         self.alive = False
         self.server._drop(self)
 
@@ -143,11 +140,6 @@ class TcpServer:
         connection = TcpConnection(self, instance)
         self._by_deployment.setdefault(instance.deployment_name, []).append(connection)
         instance.attach_connection(connection)
-        if self.env.metrics is not None:
-            self.env.metrics.inc(
-                "tcp_connections_opened_total",
-                deployment=instance.deployment_name,
-            )
         tracer = self.env.tracer
         if tracer is not None:
             tracer.connection_opened()
@@ -232,9 +224,11 @@ class ClientVM:
         on this VM, paying one intra-VM hop.  Returns a live
         connection or None.
         """
-        metrics = self.env.metrics if self.env.instrumented else None
         connection = own_server.find(deployment)
         if connection is not None:
+            # Direct registry call: the own-server hit happens once per
+            # RPC, and a point here would add a span to every one.
+            metrics = self.env.metrics if self.env.instrumented else None
             if metrics is not None:
                 metrics.inc("tcp_connection_reuse_total", source="own")
             return connection
@@ -243,8 +237,6 @@ class ClientVM:
                 continue
             connection = server.find(deployment)
             if connection is not None:
-                if metrics is not None:
-                    metrics.inc("tcp_connection_reuse_total", source="sibling")
                 tracer = self.env.tracer
                 hop_span = None
                 if tracer is not None:

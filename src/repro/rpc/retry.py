@@ -1,4 +1,4 @@
-"""Exponential backoff with randomized jitter (§3.2).
+"""Exponential backoff with full jitter (§3.2).
 
 Naively resubmitting timed-out HTTP requests causes request storms
 that overwhelm the FaaS platform; the λFS client library instead
@@ -16,7 +16,6 @@ class RetryPolicy:
     base_ms: float = 20.0
     factor: float = 2.0
     max_ms: float = 2_000.0
-    jitter: float = 0.5
     max_attempts: int = 16
     """The single source of truth for RPC attempt limits: everything
     that counts attempts (the client submit loop, its straggler
@@ -31,22 +30,6 @@ class RetryPolicy:
             "policy_factor": self.factor,
             "policy_max_ms": self.max_ms,
         }
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before retry number ``attempt`` (1-based).
-
-        .. note:: **Legacy.** Centred jitter keeps retriers correlated
-           around the same expected wait; every RPC/txn retry path now
-           uses :meth:`full_jitter_delay` instead.  This survives only
-           for the client's straggler resubmit pacing, where staying
-           near the expected wait is intentional (the resubmit races
-           the original, it does not replace it).
-        """
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        raw = min(self.base_ms * (self.factor ** (attempt - 1)), self.max_ms)
-        spread = raw * self.jitter
-        return max(0.0, raw - spread + rng.random() * 2 * spread)
 
     def full_jitter_delay(self, attempt: int, rng: random.Random) -> float:
         """Full-jitter backoff: uniform over [0, capped exponential].

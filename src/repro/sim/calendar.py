@@ -154,11 +154,6 @@ class CalendarQueue:
         """Current bucket width (sim time units); resized automatically."""
         return self._width
 
-    @property
-    def ring_size(self) -> int:
-        """Number of ring slots (the near-term window, in buckets)."""
-        return self._mask + 1
-
     # -- hot path ----------------------------------------------------------
     def push(self, t: float, priority: int, eid: int, event: Any) -> None:
         """Insert one entry; ``eid`` must be unique and increasing."""

@@ -105,11 +105,7 @@ class Environment:
     def tracer(self, value: Optional[Any]) -> None:
         self._tracer = value
         self._on_step = None if value is None else value.on_step
-        self.instrumented = (
-            value is not None
-            or self._metrics is not None
-            or self._chaos is not None
-        )
+        self._refresh_instrumented()
 
     @property
     def metrics(self) -> Optional[Any]:
@@ -119,11 +115,7 @@ class Environment:
     @metrics.setter
     def metrics(self, value: Optional[Any]) -> None:
         self._metrics = value
-        self.instrumented = (
-            value is not None
-            or self._tracer is not None
-            or self._chaos is not None
-        )
+        self._refresh_instrumented()
 
     @property
     def chaos(self) -> Optional[Any]:
@@ -137,10 +129,13 @@ class Environment:
     @chaos.setter
     def chaos(self, value: Optional[Any]) -> None:
         self._chaos = value
+        self._refresh_instrumented()
+
+    def _refresh_instrumented(self) -> None:
         self.instrumented = (
-            value is not None
-            or self._tracer is not None
+            self._tracer is not None
             or self._metrics is not None
+            or self._chaos is not None
         )
 
     # -- event factories ---------------------------------------------

@@ -1,12 +1,15 @@
 """Fleet-wide, sim-time telemetry for the λFS simulator.
 
-Mirrors the tracer (PR 2): a :class:`MetricsRegistry` hangs off
-``env.metrics`` and every instrumentation site across the stack does a
-single ``env.metrics is None`` check — telemetry off costs one
-attribute read per site.  A :class:`Sampler` sim-process snapshots the
-registry every N sim-ms into a :class:`TimeSeries`; exporters write
-JSONL/CSV/Prometheus; :func:`render_dashboard` turns a run into an
-ascii report (``repro telemetry``).
+A :class:`MetricsRegistry` hangs off ``env.metrics``.  Domain code
+never writes counters beside its spans: the :class:`Telemetry` bundle
+subscribes to the tracer's span stream and derives counters and
+histograms from it (:mod:`repro.telemetry.spans`), so telemetry off
+costs nothing beyond the tracer's own ``env.tracer is None`` checks.
+Gauges are callbacks registered at build time over live structures.
+A :class:`Sampler` sim-process snapshots the registry every N sim-ms
+into a :class:`TimeSeries`; exporters write JSONL/CSV/Prometheus;
+:func:`render_dashboard` turns a run into an ascii report
+(``repro telemetry``).
 
 Typical wiring (what ``bench.harness`` does for ``telemetry=True``)::
 
@@ -41,6 +44,8 @@ from repro.telemetry.export import (
     write_prometheus,
 )
 from repro.telemetry.dashboard import render_dashboard
+from repro.telemetry.spans import SPAN_METRICS
+from repro.trace.tracer import Span, Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS_MS",
@@ -65,13 +70,28 @@ __all__ = [
 
 
 class Telemetry:
-    """Bundle of one registry + one sampler attached to an environment."""
+    """Bundle of one registry + one sampler attached to an environment.
+
+    Subscribes to ``env.tracer``, installing a tracer that keeps no
+    spans when none is attached (so attach a full tracer first).
+    """
+
+    #: Span kinds with a telemetry handler (the tracer routes only these).
+    kinds = frozenset(kind for _, kind in SPAN_METRICS)
 
     def __init__(self, env: Any, interval_ms: float = 500.0) -> None:
         self.env = env
         self.registry = MetricsRegistry(env)
         self.registry.bundle = self  # backref for shared-env reuse
         self.sampler = Sampler(env, self.registry, interval_ms=interval_ms)
+        tracer = env.tracer or Tracer(env, keep_spans=False)
+        tracer.add_checker(self)
+
+    def observe(self, phase: str, span: Span) -> None:
+        """Span-stream subscriber: fold one event into the registry."""
+        handler = SPAN_METRICS.get((phase, span.kind))
+        if handler is not None:
+            handler(self.registry, span)
 
     @property
     def timeseries(self) -> TimeSeries:
@@ -110,9 +130,6 @@ class Telemetry:
         """
         self.sampler.on_sample = detector.observe
         return detector
-
-    def detach_detector(self) -> None:
-        self.sampler.on_sample = None
 
 
 def install_telemetry(

@@ -1,9 +1,9 @@
 """Sim-time metric primitives: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` attaches to an
-:class:`~repro.sim.Environment` (``env.metrics``) exactly like the
-tracer does: instrumentation sites across the stack do one attribute
-check (``env.metrics is None``) and pay nothing when telemetry is off.
+:class:`~repro.sim.Environment` (``env.metrics``).  Counters and
+histograms are fed by :class:`repro.telemetry.Telemetry` from the
+tracer's span stream; build-time code registers callback gauges here.
 
 Each metric is a *family* keyed by name; label sets select children::
 

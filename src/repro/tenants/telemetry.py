@@ -1,7 +1,8 @@
 """Per-tenant metric families and their registration.
 
-The client emits four tenant-labelled families when ``client.tenant``
-is set (see :meth:`repro.core.client.LambdaFSClient.execute`):
+Telemetry derives five tenant-labelled families from the ``client.op``
+span, whose ``tenant=`` and ``cache_hit=`` attrs the client sets when
+``client.tenant`` is set (see :mod:`repro.telemetry.spans`):
 
 * ``tenant_ops_total{tenant=,op=}`` / ``tenant_ops_failed_total``
 * ``tenant_op_latency_ms{tenant=}`` (histogram: ``_count``/``_sum``)

@@ -89,6 +89,10 @@ class CoherenceChecker(Checker):
     """
 
     name = "coherence"
+    kinds = frozenset((
+        "coord.inv", "coord.inv_deliver", "nn.commit", "nn.cache_put",
+        "nn.cache_invalidate", "nn.cache_hit",
+    ))
 
     def __init__(self, fail_fast: bool = False) -> None:
         super().__init__(fail_fast)
@@ -231,6 +235,7 @@ class LockDisciplineChecker(Checker):
     """
 
     name = "locks"
+    kinds = frozenset(("lock.wait", "lock.acquire", "lock.release", "txn.end"))
 
     def __init__(self, fail_fast: bool = False) -> None:
         super().__init__(fail_fast)

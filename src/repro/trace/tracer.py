@@ -21,9 +21,11 @@ tracer never schedules events or consumes simulated time, so enabling
 it cannot change simulation behaviour — same-seed runs produce the
 same event sequence (and therefore the same hash) traced or not.
 
+The span stream is the one channel domain code reports through.
 Online invariant checkers (see :mod:`repro.trace.invariants`)
-subscribe to the span stream and validate protocol correctness as the
-simulation runs.
+subscribe to it and validate protocol correctness as the simulation
+runs; :class:`repro.telemetry.Telemetry` subscribes the same way and
+derives its counters and histograms from it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ class Tracer:
         self.started = 0
         self.points = 0
         self.checkers: List[Any] = []
+        # kind -> bound observe() of every checker that wants it
+        self._routes: Dict[str, List[Callable[[str, Span], None]]] = {}
         self._ids = count(1)
         self._hash = hashlib.blake2b(digest_size=16)
         self.events_hashed = 0
@@ -178,12 +182,26 @@ class Tracer:
         return span
 
     def _emit(self, phase: str, span: Span) -> None:
-        for checker in self.checkers:
-            checker.observe(phase, span)
+        kind = span.kind
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = [
+                checker.observe for checker in self.checkers
+                if getattr(checker, "kinds", None) is None
+                or kind in checker.kinds
+            ]
+        for observe in route:
+            observe(phase, span)
 
     # -- checker plumbing -------------------------------------------------
     def add_checker(self, checker: Any) -> Any:
+        """Subscribe ``checker.observe(phase, span)`` to the stream.
+
+        A checker with a ``kinds`` set is only handed spans of those
+        kinds; without one it sees every span.
+        """
         self.checkers.append(checker)
+        self._routes.clear()
         return checker
 
     def violations(self) -> List[Any]:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faas import FaaSConfig, FaaSPlatform
-from repro.faas.chaos import NameNodeKiller
+from repro.chaos.faults import NameNodeKiller
 from repro.faas.presets import aws_lambda, nuclio, openwhisk, preset
 from repro.sim import Environment
 

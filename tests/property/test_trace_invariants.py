@@ -5,7 +5,7 @@ invariants.
 Each example builds a small λFS fleet with tracing + the default
 checker battery enabled, runs one randomly chosen operation mix via
 :class:`~repro.workloads.micro.MicroBenchmark` while a
-:class:`~repro.faas.chaos.NameNodeKiller` terminates a warm NameNode
+:class:`~repro.chaos.faults.NameNodeKiller` terminates a warm NameNode
 on a random cadence, and asserts the run was invariant-clean."""
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import build_lambdafs
 from repro.core.messages import OpType
-from repro.faas.chaos import NameNodeKiller
+from repro.chaos.faults import NameNodeKiller
 from repro.namespace.treegen import TreeSpec, generate_tree
 from repro.sim import Environment
 from repro.workloads import MicroBenchmark

@@ -170,30 +170,37 @@ def test_find_shared_returns_none_when_absent():
     assert result == [None]
 
 
+class _MaxDraw:
+    """An rng whose uniform draw is always the upper bound, exposing
+    the capped exponential that full jitter samples under."""
+
+    def uniform(self, low, high):
+        return high
+
+
 def test_retry_policy_backs_off_exponentially():
-    policy = RetryPolicy(base_ms=10, factor=2, max_ms=1000, jitter=0.0)
-    rng = random.Random(0)
-    assert policy.delay(1, rng) == 10
-    assert policy.delay(2, rng) == 20
-    assert policy.delay(3, rng) == 40
+    policy = RetryPolicy(base_ms=10, factor=2, max_ms=1000)
+    assert [policy.full_jitter_delay(a, _MaxDraw()) for a in (1, 2, 3)] == [
+        10, 20, 40,
+    ]
 
 
 def test_retry_policy_caps_at_max():
-    policy = RetryPolicy(base_ms=10, factor=10, max_ms=50, jitter=0.0)
-    assert policy.delay(5, random.Random(0)) == 50
+    policy = RetryPolicy(base_ms=10, factor=10, max_ms=50)
+    assert policy.full_jitter_delay(5, _MaxDraw()) == 50
 
 
 def test_retry_policy_jitter_spreads():
-    policy = RetryPolicy(base_ms=100, factor=1, max_ms=100, jitter=0.5)
+    policy = RetryPolicy(base_ms=100, factor=1, max_ms=100)
     rng = random.Random(0)
-    draws = {policy.delay(1, rng) for _ in range(50)}
+    draws = {policy.full_jitter_delay(1, rng) for _ in range(50)}
     assert len(draws) > 10
-    assert all(50 <= d <= 150 for d in draws)
+    assert all(0 <= d <= 100 for d in draws)
 
 
 def test_retry_policy_rejects_zero_attempt():
     with pytest.raises(ValueError):
-        RetryPolicy().delay(0, random.Random(0))
+        RetryPolicy().full_jitter_delay(0, random.Random(0))
 
 
 def test_vm_rejects_bad_clients_per_server():

@@ -95,3 +95,36 @@ def test_chaos_run_from_json_file(tmp_path, capsys):
     assert "tiny: PASS" in out
     assert "verifier: PASS" in out
     assert "fault log:" in out
+
+
+def _baseline_file(tmp_path, scenarios):
+    import json
+
+    path = tmp_path / "BENCH_x.json"
+    path.write_text(json.dumps({"version": 1, "scenarios": scenarios}))
+    return str(path)
+
+
+def test_check_baseline_unchanged_is_ok(tmp_path, capsys):
+    from repro.cli import _check_baseline
+
+    records = {"a": {"passed": True, "shed": 0, "extra": 1.5}}
+    path = _baseline_file(tmp_path, {"a": {"passed": True, "shed": 0,
+                                           "extra": 9.0}})
+    assert _check_baseline(records, path, ("passed", "shed"), label="x") == 0
+    assert "x baseline: OK" in capsys.readouterr().out
+
+
+def test_check_baseline_flipped_field_is_drift(tmp_path, capsys):
+    from repro.cli import _check_baseline
+
+    records = {"a": {"passed": False, "shed": 0}}
+    path = _baseline_file(tmp_path, {
+        "a": {"passed": True, "shed": 0},
+        "not-run": {"passed": True, "shed": 3},
+    })
+    assert _check_baseline(records, path, ("passed", "shed"), label="x") == 1
+    out = capsys.readouterr().out
+    assert "x baseline drift:" in out
+    assert "  a: passed True -> False" in out
+    assert "not-run" not in out

@@ -115,6 +115,33 @@ def test_keep_spans_false_streams_to_checkers():
     assert ("point", "x") in seen
 
 
+def test_checker_kinds_filter_the_stream():
+    env = Environment()
+    tracer = Tracer(env)
+    seen = {"all": [], "locks": []}
+
+    class Probe:
+        def __init__(self, name, kinds=None):
+            self.name = name
+            self.kinds = kinds
+
+        def observe(self, phase, span):
+            seen[self.name].append((phase, span.kind))
+
+    tracer.add_checker(Probe("locks", frozenset(("lock.wait",))))
+    tracer.end(tracer.begin("lock.wait", "t1"))
+    tracer.end(tracer.begin("tcp.send", "c1"))
+    # A checker added later sees the stream from then on, for every kind.
+    tracer.add_checker(Probe("all"))
+    tracer.end(tracer.begin("lock.wait", "t2"))
+    tracer.end(tracer.begin("tcp.send", "c1"))
+    assert seen["locks"] == [("begin", "lock.wait"), ("end", "lock.wait")] * 2
+    assert seen["all"] == [
+        ("begin", "lock.wait"), ("end", "lock.wait"),
+        ("begin", "tcp.send"), ("end", "tcp.send"),
+    ]
+
+
 def test_event_hash_tracks_kernel_steps():
     def run(seed_delay):
         env = Environment()
