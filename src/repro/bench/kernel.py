@@ -15,12 +15,9 @@ pending-set pressure is precisely what separates schedulers: a global
 binary heap pays O(log n) cache-cold comparisons on it for every
 event, a calendar queue does not.
 
-The timed pass runs with the garbage collector's setup graph frozen
-(``gc.freeze``) and a raised gen-0 threshold, restored afterwards.
-This is benchmark methodology, applied identically to whichever kernel
-is being measured: the workload produces no cyclic garbage, so default
-GC heuristics only add full-heap scans whose cost says nothing about
-the scheduler under test.
+The timed pass starts from a collected heap and runs under the run
+loop's own GC policy (:mod:`repro.sim.core`: setup graph frozen,
+gen-0 threshold raised), the same policy every full-stack run pays.
 
 Reported numbers are **wall-clock** events/sec and
 ops/sec plus peak memory, so kernel speedups are proven, not claimed:
@@ -48,7 +45,6 @@ the identical event sequence — only the wall-clock figures vary.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import platform
@@ -151,29 +147,6 @@ def _client(env: Environment, think, net, guard, ops: int):
             ])
 
 
-@contextlib.contextmanager
-def _gc_quiesced():
-    """Freeze the setup graph out of GC for the timed pass.
-
-    The bench workload produces no cyclic garbage — everything dies by
-    refcount — so collector passes over the (large, live) client graph
-    measure the allocator's heuristics, not the kernel.  Freezing the
-    already-built environment and raising the gen-0 threshold silences
-    that noise; both are restored afterwards.  Applied identically to
-    any kernel under measurement, old or new.
-    """
-    thresholds = gc.get_threshold()
-    gc.collect()
-    gc.freeze()
-    gc.set_threshold(1_000_000, 50, 50)
-    try:
-        yield
-    finally:
-        gc.set_threshold(*thresholds)
-        gc.unfreeze()
-        gc.collect()
-
-
 class _StepCounter:
     """A minimal ``on_step`` hook for cross-checking event counts."""
 
@@ -217,10 +190,12 @@ def run_kernel_point(
             )
 
     env = build()
-    with _gc_quiesced():
-        start = time.perf_counter()
-        env.run()
-        wall_s = time.perf_counter() - start
+    # Time from a clean heap; the run loop's own GC policy (see
+    # repro.sim.core) keeps the collector off the timed pass.
+    gc.collect()
+    start = time.perf_counter()
+    env.run()
+    wall_s = time.perf_counter() - start
 
     executed = getattr(env, "steps", None)
     events = executed if executed is not None else expected

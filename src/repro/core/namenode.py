@@ -666,15 +666,16 @@ class LambdaNameNode:
                 self.cache.put(path, inode)
                 if self._stale_inodes:
                     self._stale_inodes.pop(path, None)
-                if tracer is not None:
-                    tracer.point("nn.cache_put", self.member_id, path=path)
         for path, inode in new_entries.items():
             self.cache.put(path, inode)
             if self._stale_inodes:
                 self._stale_inodes.pop(path, None)
-            if tracer is not None:
-                tracer.point("nn.cache_put", self.member_id, path=path)
             self._drop_listing_of_parent(path)
+        if tracer is not None:
+            put = [path for path in resolved if path not in gone]
+            put.extend(new_entries)
+            if put:
+                tracer.point("nn.cache_put", self.member_id, paths=tuple(put))
 
     # -- subtree batch execution (helper role) ---------------------------------
     def _exec_batch(self, request: MetadataRequest, span=None) -> Generator:
@@ -736,15 +737,15 @@ class LambdaNameNode:
 
     # -- misc ----------------------------------------------------------------------
     def _cache_resolved(self, resolved: Dict[str, INode], span=None) -> None:
-        tracer = self.fs.env.tracer
         for path, inode in resolved.items():
             self.cache.put(path, inode)
             if self._stale_inodes:
                 # A fresh copy supersedes any stale snapshot.
                 self._stale_inodes.pop(path, None)
-            if tracer is not None:
-                tracer.point("nn.cache_put", self.member_id, parent=span,
-                             path=path)
+        tracer = self.fs.env.tracer
+        if tracer is not None and resolved:
+            tracer.point("nn.cache_put", self.member_id, parent=span,
+                         paths=tuple(resolved))
 
     def _connect_back(self, request: MetadataRequest) -> None:
         """Proactively open TCP connections to the client's servers."""

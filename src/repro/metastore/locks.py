@@ -184,8 +184,30 @@ class LockManager:
         self._grant_waiters(key, lock)
 
     def release_all(self, owner: Any, keys) -> None:
+        """Release ``owner``'s locks on ``keys`` (a transaction's end).
+
+        Every held key is revoked first and reported in one
+        ``lock.release`` point carrying the ``keys`` actually released
+        (keys no longer held, e.g. after an upgrade requeue, are
+        skipped).  Waiters are then granted key by key in the given
+        order, so grants — and the events they schedule — come in the
+        same order as releasing the keys one at a time.
+        """
+        locks = self._locks
+        released = []
         for key in keys:
-            self.release(owner, key)
+            lock = locks.get(key)
+            if lock is not None and owner in lock.holders:
+                lock.revoke(owner)
+                released.append((key, lock))
+        if not released:
+            return
+        tracer = self.env.tracer if self.env.instrumented else None
+        if tracer is not None:
+            tracer.point("lock.release", repr(owner),
+                         keys=tuple(repr(key) for key, _ in released))
+        for key, lock in released:
+            self._grant_waiters(key, lock)
 
     # -- internals -----------------------------------------------------
     def _grantable(self, lock: _KeyLock, owner: Any, mode: LockMode) -> bool:

@@ -142,7 +142,7 @@ class NdbStore:
         tracer = self.env.tracer if self.env.instrumented else None
         if tracer is not None:
             txn._trace_span = tracer.begin(
-                "txn", repr(txn), parent=trace_parent, label=label
+                "txn", txn.actor, parent=trace_parent, label=label
             )
         return txn
 
@@ -193,7 +193,7 @@ class NdbStore:
                 retry_span = None
                 if tracer is not None:
                     retry_span = tracer.begin(
-                        "txn.backoff", repr(txn), parent=trace_parent,
+                        "txn.backoff", txn.actor, parent=trace_parent,
                         attempt=attempt, label=label, backoff_ms=delay,
                     )
                 yield self.env.timeout(delay)
@@ -309,6 +309,8 @@ class Transaction:
         self.store = store
         self.id = txn_id
         self.label = label
+        #: The trace actor string (``repr``), computed once.
+        self.actor = f"<Txn {txn_id} {label}>" if label else f"<Txn {txn_id}>"
         self.deadline_ms = deadline_ms
         self._staged: Dict[Any, Any] = {}
         self._locked: Set[Any] = set()
@@ -321,8 +323,7 @@ class Transaction:
         self._lock_epoch = 0
 
     def __repr__(self) -> str:
-        tag = f" {self.label}" if self.label else ""
-        return f"<Txn {self.id}{tag}>"
+        return self.actor
 
     # -- locking ---------------------------------------------------------
     def lock(self, key: Any, exclusive: bool = False, _batched: bool = False) -> Generator:
@@ -431,7 +432,7 @@ class Transaction:
             commit_span = None
             if tracer is not None:
                 commit_span = tracer.begin(
-                    "txn.commit", repr(self), parent=self._trace_span,
+                    "txn.commit", self.actor, parent=self._trace_span,
                     rows=len(self._staged),
                 )
             yield from self.store._service_batch(
@@ -476,8 +477,8 @@ class Transaction:
         tracer = env.tracer if env.instrumented else None
         if tracer is not None:
             # txn.end comes after release_all so the lock-discipline
-            # checker has seen every lock.release for this owner.
-            tracer.point("txn.end", repr(self), committed=committed)
+            # checker has seen this owner's lock.release.
+            tracer.point("txn.end", self.actor, committed=committed)
             tracer.end(self._trace_span, committed=committed)
             self._trace_span = None
 

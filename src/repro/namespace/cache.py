@@ -6,8 +6,12 @@ path, stored in an in-memory trie.  The trie shape makes subtree
 node instead of touching each cached descendant individually.
 
 Capacity is bounded: when the number of cached INodes exceeds
-``capacity`` the least-recently-used *leaves* are evicted, which is
-how the "reduced-cache λFS" configuration of §5.2.3 is expressed.
+``capacity`` the least-recently-used *entries* are evicted — any trie
+node that holds an INode can be the victim, an interior directory as
+well as a leaf — which is how the "reduced-cache λFS" configuration of
+§5.2.3 is expressed.  Recency is a doubly-linked list threaded through
+the nodes that hold entries, so refreshing an entry and choosing a
+victim are both O(1).
 """
 
 from __future__ import annotations
@@ -70,14 +74,16 @@ class CacheStats:
 
 
 class _TrieNode:
-    __slots__ = ("name", "inode", "children", "parent", "last_used")
+    __slots__ = ("name", "inode", "children", "parent", "prev", "next")
 
     def __init__(self, name: str, parent: Optional["_TrieNode"]) -> None:
         self.name = name
         self.inode: Optional[INode] = None
         self.children: Dict[str, "_TrieNode"] = {}
         self.parent = parent
-        self.last_used = 0.0
+        # Neighbours in the recency list while the node holds an entry.
+        self.prev: Optional["_TrieNode"] = None
+        self.next: Optional["_TrieNode"] = None
 
 
 class MetadataCache:
@@ -88,16 +94,15 @@ class MetadataCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._root = _TrieNode("", None)
+        # Sentinel of the circular recency list of the nodes holding an
+        # entry, least recently used first: ``_lru.next`` is the victim.
+        self._lru = _TrieNode("", None)
+        self._lru.prev = self._lru.next = self._lru
         self._size = 0
-        self._clock = 0.0
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return self._size
-
-    def _tick(self) -> float:
-        self._clock += 1.0
-        return self._clock
 
     # -- lookups -------------------------------------------------------
     def get(self, path: str) -> Optional[INode]:
@@ -169,6 +174,7 @@ class MetadataCache:
         if node is None or node.inode is None:
             return 0
         node.inode = None
+        self._unlink(node)
         self._size -= 1
         self.stats.invalidations += 1
         self._prune(node)
@@ -183,14 +189,13 @@ class MetadataCache:
         normalized = normalize(prefix)
         if normalized == "/":
             removed = self._size
-            self._root = _TrieNode("", None)
-            self._size = 0
+            self.clear()
             self.stats.invalidations += removed
             return removed
         node = self._find(normalized)
         if node is None:
             return 0
-        removed = self._count_entries(node)
+        removed = self._forget_subtree(node)
         parent = node.parent
         if parent is not None:
             del parent.children[node.name]
@@ -202,6 +207,7 @@ class MetadataCache:
     def clear(self) -> None:
         """Drop everything (used when an instance restarts cold)."""
         self._root = _TrieNode("", None)
+        self._lru.prev = self._lru.next = self._lru
         self._size = 0
 
     # -- iteration -------------------------------------------------------
@@ -226,13 +232,36 @@ class MetadataCache:
         return node
 
     def _touch(self, node: _TrieNode) -> None:
-        node.last_used = self._tick()
+        """Move ``node`` to the most recently used end of the list."""
+        head = self._lru
+        last = head.prev
+        if last is node:
+            return
+        if node.prev is not None:
+            self._unlink(node)
+        node.prev = last
+        node.next = head
+        last.next = node
+        head.prev = node
 
-    def _count_entries(self, node: _TrieNode) -> int:
-        total = 1 if node.inode is not None else 0
-        for child in node.children.values():
-            total += self._count_entries(child)
-        return total
+    @staticmethod
+    def _unlink(node: _TrieNode) -> None:
+        prev, after = node.prev, node.next
+        prev.next = after
+        after.prev = prev
+        node.prev = node.next = None
+
+    def _forget_subtree(self, node: _TrieNode) -> int:
+        """Unlink every entry under ``node`` from the LRU; returns the count."""
+        removed = 0
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if node.inode is not None:
+                self._unlink(node)
+                removed += 1
+            stack.extend(node.children.values())
+        return removed
 
     def _prune(self, node: _TrieNode) -> None:
         """Remove empty trie branches bottom-up."""
@@ -247,29 +276,13 @@ class MetadataCache:
 
     def _evict_if_needed(self) -> None:
         while self._size > self.capacity:
-            victim = self._lru_leaf()
-            if victim is None:
-                return
+            victim = self._lru_victim()
             victim.inode = None
+            self._unlink(victim)
             self._size -= 1
             self.stats.evictions += 1
             self._prune(victim)
 
-    def _lru_leaf(self) -> Optional[_TrieNode]:
-        """The least-recently-used node holding an entry.
-
-        Walking the whole trie is O(size); capacities in experiments
-        are small enough that this stays off the critical path, and it
-        keeps eviction correct under prefix invalidations without a
-        separate intrusive list.
-        """
-        best: Optional[_TrieNode] = None
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.inode is not None and (
-                best is None or node.last_used < best.last_used
-            ):
-                best = node
-            stack.extend(node.children.values())
-        return best
+    def _lru_victim(self) -> _TrieNode:
+        """The least-recently-used node holding an entry."""
+        return self._lru.next

@@ -41,7 +41,6 @@ class TcpConnection:
         if self.alive:
             tracer = self.server.env.tracer
             if tracer is not None:
-                tracer.connection_closed()
                 tracer.point("tcp.close", f"conn{self.id}",
                              deployment=self.deployment)
         self.alive = False
@@ -142,7 +141,6 @@ class TcpServer:
         instance.attach_connection(connection)
         tracer = self.env.tracer
         if tracer is not None:
-            tracer.connection_opened()
             tracer.point(
                 "tcp.connect_back", f"server{self.id}",
                 deployment=instance.deployment_name, instance=instance.id,

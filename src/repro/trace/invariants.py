@@ -85,7 +85,8 @@ class CoherenceChecker(Checker):
       stale *by protocol*, whatever the member's handler does);
     * ``nn.commit`` points (a write transaction is about to persist
       ``paths``, emitted by the leader NameNode);
-    * ``nn.cache_put`` / ``nn.cache_hit`` points from NameNode caches.
+    * ``nn.cache_put`` / ``nn.cache_hit`` points from NameNode caches
+      (a put carries one ``path`` or a batch of ``paths``).
     """
 
     name = "coherence"
@@ -140,7 +141,10 @@ class CoherenceChecker(Checker):
         elif kind == "nn.commit":
             self._check_commit(span)
         elif kind == "nn.cache_put":
-            self.validity.setdefault(span.actor, {})[span.attrs["path"]] = True
+            state = self.validity.setdefault(span.actor, {})
+            attrs = span.attrs
+            for path in attrs["paths"] if "paths" in attrs else (attrs["path"],):
+                state[path] = True
         elif kind == "nn.cache_invalidate":
             # A local invalidation (leader refreshing its own cache);
             # ``prefix`` covers subtree invalidations.
@@ -227,11 +231,13 @@ class LockDisciplineChecker(Checker):
 
     Consumes ``lock.acquire`` / ``lock.release`` points and
     ``lock.wait`` *spans* (the ordering rule fires at the begin edge —
-    the instant blocking starts) from
-    :class:`~repro.metastore.locks.LockManager`, plus ``txn.end``
-    points from :class:`~repro.metastore.ndb.Transaction`.  Row keys
-    are compared by their ``repr`` — the same canonical order
-    ``Transaction.lock_many`` sorts by.
+    the instant blocking starts; a point-form wait is its own begin
+    edge) from :class:`~repro.metastore.locks.LockManager`, plus
+    ``txn.end`` points from :class:`~repro.metastore.ndb.Transaction`.
+    A release carries one ``key`` or, at transaction end, the batch of
+    ``keys`` actually released.  Row keys are compared by their
+    ``repr`` — the same canonical order ``Transaction.lock_many`` sorts
+    by.
     """
 
     name = "locks"
@@ -255,7 +261,7 @@ class LockDisciplineChecker(Checker):
     def observe(self, phase: str, span: Span) -> None:
         kind = span.kind
         if kind == "lock.wait":
-            if phase == "begin":
+            if phase != "end":
                 self._on_wait(span)
             return
         if phase != "point":
@@ -287,23 +293,25 @@ class LockDisciplineChecker(Checker):
         self.key_epoch.setdefault(owner, {})[key] = span.attrs.get("epoch")
 
     def _on_release(self, span: Span) -> None:
-        self.releases += 1
-        owner, key = span.actor, span.attrs["key"]
+        owner, attrs = span.actor, span.attrs
         mine = self.held.get(owner, {})
-        if key not in mine:
-            self._flag(
-                "release-without-acquire",
-                f"{owner} released {key} which it does not hold",
-                span,
-            )
-            return
-        del mine[key]
-        self.key_epoch.get(owner, {}).pop(key, None)
-        holders = self.by_key.get(key)
-        if holders is not None:
-            holders.pop(owner, None)
-            if not holders:
-                del self.by_key[key]
+        epochs = self.key_epoch.get(owner, {})
+        for key in attrs["keys"] if "keys" in attrs else (attrs["key"],):
+            self.releases += 1
+            if key not in mine:
+                self._flag(
+                    "release-without-acquire",
+                    f"{owner} released {key} which it does not hold",
+                    span,
+                )
+                continue
+            del mine[key]
+            epochs.pop(key, None)
+            holders = self.by_key.get(key)
+            if holders is not None:
+                holders.pop(owner, None)
+                if not holders:
+                    del self.by_key[key]
 
     def _on_wait(self, span: Span) -> None:
         owner, key = span.actor, span.attrs["key"]

@@ -35,6 +35,10 @@ from itertools import count
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 
+#: Point kinds that open (+1) or close (-1) a TCP connection.
+_CONNECTION_DELTA = {"tcp.connect_back": 1, "tcp.close": -1}
+
+
 class Span:
     """One traced operation (or point event, when ``end_ms == start_ms``)."""
 
@@ -120,29 +124,15 @@ class Tracer:
         self._ids = count(1)
         self._hash = hashlib.blake2b(digest_size=16)
         self.events_hashed = 0
-        self.connections_opened = 0
-        self.connections_closed = 0
+        #: Connections opened but never closed — leak tripwire.  Kept
+        #: by :meth:`_count_connection` from the ``tcp.connect_back`` /
+        #: ``tcp.close`` points; a nonzero count at run end (after the
+        #: system tears down) means some timeout/error path dropped a
+        #: :class:`~repro.rpc.connections.TcpConnection` without
+        #: calling ``close()``.  Surfaced in :meth:`summary` next to
+        #: ``open_spans`` so leaks stay visible.
+        self.open_connections = 0
         env.tracer = self
-
-    # -- connection accounting -------------------------------------------
-    def connection_opened(self) -> None:
-        """One TCP connection came up (rpc layer hook)."""
-        self.connections_opened += 1
-
-    def connection_closed(self) -> None:
-        """One TCP connection went down (rpc layer hook)."""
-        self.connections_closed += 1
-
-    @property
-    def open_connections(self) -> int:
-        """Connections opened but never closed — leak tripwire.
-
-        A nonzero count at run end (after the system tears down) means
-        some timeout/error path dropped a :class:`TcpConnection`
-        without calling ``close()``; surfaced in :meth:`summary` next
-        to ``open_spans`` so leaks stay visible.
-        """
-        return self.connections_opened - self.connections_closed
 
     def detach(self) -> None:
         """Disconnect from the environment (tracing turns off)."""
@@ -155,12 +145,7 @@ class Tracer:
         span = Span(
             next(self._ids), parent_id_of(parent), kind, actor, self.env.now, attrs
         )
-        self.started += 1
-        if self.keep_spans:
-            if len(self.spans) < self.max_spans:
-                self.spans[span.span_id] = span
-            else:
-                self.dropped += 1
+        self._retain(span)
         self._emit("begin", span)
         return span
 
@@ -174,12 +159,29 @@ class Tracer:
         self._emit("end", span)
 
     def point(self, kind: str, actor: str, parent: Any = None, **attrs: Any) -> Span:
-        """Record an instantaneous event (a zero-duration span)."""
-        span = self.begin(kind, actor, parent, **attrs)
-        span.end_ms = span.start_ms
+        """Record an instantaneous event (a zero-duration span).
+
+        Delivered once, in phase ``point``; a subscriber that wants the
+        instant a point-form event starts treats ``point`` as its begin
+        edge.
+        """
+        now = self.env.now
+        span = Span(
+            next(self._ids), parent_id_of(parent), kind, actor, now, attrs
+        )
+        span.end_ms = now
         self.points += 1
+        self._retain(span)
         self._emit("point", span)
         return span
+
+    def _retain(self, span: Span) -> None:
+        self.started += 1
+        if self.keep_spans:
+            if len(self.spans) < self.max_spans:
+                self.spans[span.span_id] = span
+            else:
+                self.dropped += 1
 
     def _emit(self, phase: str, span: Span) -> None:
         kind = span.kind
@@ -190,8 +192,15 @@ class Tracer:
                 if getattr(checker, "kinds", None) is None
                 or kind in checker.kinds
             ]
+            if kind in _CONNECTION_DELTA:
+                route.insert(0, self._count_connection)
         for observe in route:
             observe(phase, span)
+
+    def _count_connection(self, phase: str, span: Span) -> None:
+        """Subscriber keeping :attr:`open_connections` (routed to the
+        ``tcp.connect_back`` and ``tcp.close`` points only)."""
+        self.open_connections += _CONNECTION_DELTA[span.kind]
 
     # -- checker plumbing -------------------------------------------------
     def add_checker(self, checker: Any) -> Any:

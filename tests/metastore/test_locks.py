@@ -182,3 +182,48 @@ def test_lock_state_cleaned_up():
 
     run(env, proc(env))
     assert locks._locks == {}
+
+
+def test_release_all_reports_once_then_grants_in_key_order():
+    from repro.trace import Tracer
+
+    env = Environment()
+    tracer = Tracer(env)
+    locks = LockManager(env)
+    granted = []
+
+    def owner(env):
+        yield from locks.acquire("t", "k1", LockMode.EXCLUSIVE)
+        yield from locks.acquire("t", "k2", LockMode.EXCLUSIVE)
+        yield env.timeout(5)
+        locks.release_all("t", ["k1", "k2", "never-held"])
+
+    def waiter(name, key):
+        yield env.timeout(1)
+        yield from locks.acquire(name, key, LockMode.EXCLUSIVE)
+        granted.append(name)
+
+    # w2 parks first, but k1 is released (and granted) before k2.
+    run(env, owner(env), waiter("w2", "k2"), waiter("w1", "k1"))
+    assert granted == ["w1", "w2"]
+    stream = [
+        (span.kind, span.actor, span.attrs.get("keys"))
+        for span in tracer.spans.values()
+        if span.kind in ("lock.release", "lock.acquire")
+    ]
+    assert stream == [
+        ("lock.acquire", "'t'", None),
+        ("lock.acquire", "'t'", None),
+        ("lock.release", "'t'", ("'k1'", "'k2'")),
+        ("lock.acquire", "'w1'", None),
+        ("lock.acquire", "'w2'", None),
+    ]
+
+
+def test_release_all_of_nothing_held_is_silent():
+    from repro.trace import Tracer
+
+    env = Environment()
+    tracer = Tracer(env)
+    LockManager(env).release_all("ghost", ["k1", "k2"])
+    assert tracer.points == 0

@@ -299,3 +299,75 @@ def test_broken_coherence_is_caught(monkeypatch):
     env.run(until=done)
     rules = {v.rule for v in tracer.violations()}
     assert "commit-before-ack" in rules
+
+
+# -- batched points ------------------------------------------------------
+
+def test_batched_cache_put_validates_every_path():
+    checker = CoherenceChecker()
+    tracer = make(checker)
+    tracer.point("nn.cache_put", "nn2", paths=("/a", "/b"))
+    tracer.point("coord.inv_deliver", "nn2", paths=("/a",))
+    tracer.point("nn.cache_hit", "nn2", path="/b")        # still valid
+    assert checker.violations == []
+    tracer.point("nn.cache_hit", "nn2", path="/a")        # now stale
+    assert [v.rule for v in checker.violations] == ["stale-cache-hit"]
+    tracer.point("nn.cache_put", "nn2", paths=("/a",))     # fresh fetch
+    tracer.point("nn.cache_hit", "nn2", path="/a")
+    assert len(checker.violations) == 1
+
+
+def test_batched_release_frees_every_key():
+    checker = LockDisciplineChecker()
+    tracer = make(checker)
+    tracer.point("lock.acquire", "t1", key="k1", mode="exclusive")
+    tracer.point("lock.acquire", "t1", key="k2", mode="shared")
+    tracer.point("lock.release", "t1", keys=("k1", "k2"))
+    tracer.point("txn.end", "t1", committed=True)
+    tracer.point("lock.acquire", "t2", key="k1", mode="exclusive")
+    assert checker.violations == []
+    assert checker.acquires == 3 and checker.releases == 2
+    tracer.point("lock.release", "t2", keys=("k1", "k3"))
+    assert [v.rule for v in checker.violations] == ["release-without-acquire"]
+    assert checker.releases == 4
+
+
+def test_upgrade_requeue_timeout_abort_is_clean():
+    """An upgrade that requeues, times out and aborts must not report
+    the requeue-released key again at transaction end."""
+    from repro.metastore import NdbConfig, NdbStore
+    from repro.metastore.errors import LockTimeout
+
+    env = Environment()
+    tracer = install_tracer(env)
+    store = NdbStore(env, NdbConfig(shards=1, rtt_ms=0.0, lock_timeout_ms=5.0))
+    outcome = {}
+
+    def sharer(env):
+        txn = store.begin(label="sharer")
+        yield from txn.read(("k",))
+        yield env.timeout(50.0)
+        yield from txn.commit()
+
+    def upgrader(env):
+        txn = store.begin(label="upgrader")
+        yield from txn.read(("a",))
+        yield from txn.read(("k",))
+        try:
+            yield from txn.write(("k",), "v")
+        except LockTimeout:
+            outcome["aborted"] = txn._done
+
+    env.process(sharer(env))
+    env.process(upgrader(env))
+    env.run()
+    assert outcome == {"aborted": True}
+    assert tracer.violations() == []
+    releases = [
+        span.attrs for span in tracer.spans.values()
+        if span.kind == "lock.release" and span.actor == "<Txn 2 upgrader>"
+    ]
+    assert releases == [
+        {"key": "('k',)", "upgrade_requeue": True},
+        {"keys": ("('a',)",)},
+    ]

@@ -214,3 +214,49 @@ def test_retention_cap_drops_are_safe():
     tracer.end(kept_a)
     # Dropped spans do not count as open leaks (they are not retained).
     assert tracer.summary()["open_spans"] == 0
+
+
+def test_point_reaches_an_unfiltered_subscriber_once():
+    env = Environment()
+    tracer = Tracer(env)
+    seen = {"declared": [], "undeclared": []}
+
+    class Declared:
+        kinds = None
+
+        def observe(self, phase, span):
+            seen["declared"].append((phase, span.kind, span.end_ms))
+
+    class Undeclared:
+        def observe(self, phase, span):
+            seen["undeclared"].append((phase, span.kind, span.end_ms))
+
+    tracer.add_checker(Declared())
+    tracer.add_checker(Undeclared())
+    span = tracer.point("x", "a", k=1)
+    assert seen["declared"] == seen["undeclared"] == [("point", "x", 0.0)]
+    assert span.start_ms == span.end_ms == 0.0 and span.attrs == {"k": 1}
+    assert tracer.started == tracer.points == 1
+    assert tracer.spans == {span.span_id: span}
+
+
+def test_open_connections_follow_connect_and_close_points():
+    env = Environment()
+    tracer = Tracer(env)
+    tracer.point("tcp.connect_back", "server1", deployment="d0", instance=1)
+    tracer.point("tcp.connect_back", "server1", deployment="d1", instance=2)
+    tracer.point("tcp.send", "conn1", deployment="d0")
+    assert tracer.open_connections == 2
+    tracer.point("tcp.close", "conn1", deployment="d0")
+    assert tracer.summary()["open_connections"] == 1
+    # The counter is the tracer's own subscriber, not a listed checker,
+    # and it survives the route rebuild that adding a checker causes.
+    assert tracer.checkers == []
+
+    class Probe:
+        def observe(self, phase, span):
+            pass
+
+    tracer.add_checker(Probe())
+    tracer.point("tcp.close", "conn2", deployment="d1")
+    assert tracer.open_connections == 0
