@@ -146,8 +146,9 @@ class LockManager:
         if tracer is not None:
             # A *span*, not a point: its duration is the lock-wait
             # stage on the critical path (begin at enqueue, end at
-            # grant or timeout).  The discipline checker consumes the
-            # begin edge exactly like the old point.
+            # grant or timeout).  The discipline checker fires on the
+            # span's begin edge; a point-form wait counts as its own
+            # begin edge.
             wait_span = tracer.begin(
                 "lock.wait", repr(owner),
                 parent=getattr(owner, "_trace_span", None),
@@ -174,14 +175,7 @@ class LockManager:
 
     def release(self, owner: Any, key: Any) -> None:
         """Release ``owner``'s lock on ``key`` (no-op if not held)."""
-        lock = self._locks.get(key)
-        if lock is None or owner not in lock.holders:
-            return
-        lock.revoke(owner)
-        tracer = self.env.tracer if self.env.instrumented else None
-        if tracer is not None:
-            tracer.point("lock.release", repr(owner), key=repr(key))
-        self._grant_waiters(key, lock)
+        self.release_all(owner, (key,))
 
     def release_all(self, owner: Any, keys) -> None:
         """Release ``owner``'s locks on ``keys`` (a transaction's end).
