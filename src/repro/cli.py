@@ -20,14 +20,22 @@ Commands:
   alerting + the detection gate);
 * ``incidents`` — online SLO alerting + root-cause attribution:
   ``run`` one detected chaos scenario (incident timeline report),
-  ``matrix`` the detection regression set with ``BENCH_incidents.json``
-  baselines, ``analyze`` a telemetry JSONL export offline, ``rules``
-  the alert-rule catalog;
+  ``matrix`` the detection regression set, ``analyze`` a telemetry
+  JSONL export offline, ``rules`` the alert-rule catalog;
+* ``resilience`` — overload protection: ``run`` one overload scenario
+  under gate 7, ``matrix`` the overload set with its expected-FAIL twin;
 * ``bench`` — wall-clock benchmarks of the toolkit itself: ``kernel``
   measures raw simulator events/sec + peak RSS at 1k/10k/100k client
   scales, with ``--baseline`` regression gating against a committed
   BENCH_kernel.json;
 * ``experiments`` — list the experiment drivers and what they map to.
+
+The three ``matrix`` subcommands share one path (``_run_matrix``):
+each scenario runs in its own ``Environment``, so its record depends
+only on the seed and config.  ``--bench-json PATH`` writes the records
+with sorted keys; ``scripts/check_baselines.sh`` gates the committed
+BENCH files by regenerating each and diffing it against the committed
+copy.
 """
 
 from __future__ import annotations
@@ -420,13 +428,7 @@ def _report_chaos_run(result, verbose: bool) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.chaos import (
-        EXPECTED_FAIL,
-        MATRIX,
-        builtin_scenarios,
-        load_scenario,
-        run_scenario,
-    )
+    from repro.chaos import MATRIX, builtin_scenarios, load_scenario, run_scenario
 
     if args.chaos_command == "run":
         if args.list:
@@ -454,91 +456,7 @@ def _cmd_chaos(args) -> int:
         return _report_chaos_run(result, args.verbose)
 
     if args.chaos_command == "matrix":
-        scenarios = builtin_scenarios()
-        names = list(args.scenarios) if args.scenarios else list(MATRIX)
-        unknown = [n for n in names if n not in scenarios]
-        if unknown:
-            print(f"unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        config = _chaos_run_config(args)
-        rows = []
-        records = {}
-        exit_code = 0
-        for name in names:
-            result = run_scenario(scenarios[name], config)
-            expected_fail = name in EXPECTED_FAIL
-            ok = result.passed != expected_fail
-            verdict = "PASS" if result.passed else "FAIL"
-            if expected_fail:
-                verdict += " (expected)" if ok else " (!)"
-            elif not ok:
-                exit_code = 1
-            if expected_fail and not ok:
-                exit_code = 1
-            recovery = result.report.recovery_time_ms
-            rows.append([
-                name, verdict, result.ops_ok, result.ops_failed,
-                "-" if recovery is None else f"{recovery:.0f} ms",
-                result.event_hash[:12],
-            ])
-            records[name] = {
-                "passed": result.passed,
-                "expected_fail": expected_fail,
-                "ops_ok": result.ops_ok,
-                "ops_failed": result.ops_failed,
-                "errors": result.errors,
-                "checks": result.report.checks,
-                "hung_ops": len(result.report.hung_ops),
-                "recovery_time_ms": recovery,
-                "duration_ms": result.duration_ms,
-                "event_hash": result.event_hash,
-                "fault_log_hash": result.log_hash,
-            }
-            if result.incidents is not None:
-                records[name].update({
-                    "incidents": len(result.incidents.incidents),
-                    "mttd_ms": result.incidents.mttd_ms,
-                    "top_suspect": result.report.top_suspect,
-                })
-            if result.tenant_counts is not None:
-                records[name].update({
-                    "tenants": {
-                        tenant: {"issued": c.issued, "ok": c.ok,
-                                 "failed": c.failed, "errors": c.errors}
-                        for tenant, c in sorted(result.tenant_counts.items())
-                    },
-                    "jain_min": result.report.jain_min,
-                    "jain_recovered": result.report.jain_recovered,
-                    "baseline_victim_p99_ms":
-                        result.report.baseline_victim_p99_ms,
-                    "recovered_victim_p99_ms":
-                        result.report.recovered_victim_p99_ms,
-                    "fairness_recovery_ms":
-                        result.report.fairness_recovery_ms,
-                })
-            if result.fleet is not None:
-                scanner = result.fleet.scanner
-                records[name].update({
-                    "datanodes": len(result.fleet.nodes),
-                    "datanodes_dead": len(result.fleet.tracker.dead()),
-                    "blocks": len(result.fleet.blocks),
-                    "repairs": len(scanner.records),
-                    "lost_blocks": sorted(scanner.lost),
-                    "replication_recovery_ms":
-                        result.report.replication_recovery_ms,
-                })
-            if not ok:
-                print(result.report.render())
-        print(tabulate(
-            ["scenario", "verdict", "ok", "failed", "recovery", "events"],
-            rows,
-        ))
-        if args.bench_json:
-            _write_bench_json(args.bench_json, {
-                "version": 1, "seed": args.seed, "scenarios": records,
-            })
-        print("matrix:", "PASS" if exit_code == 0 else "FAIL")
-        return exit_code
+        return _run_matrix(args, MATRIX, _chaos_run_config(args), "matrix")
 
     raise ValueError(f"unknown chaos subcommand {args.chaos_command!r}")
 
@@ -552,31 +470,141 @@ def _write_bench_json(path: str, payload: dict) -> None:
     print(f"\nbench json: {path}")
 
 
-def _check_baseline(records, path: str, fields, label: str) -> int:
-    """Diff ``records`` against the baseline at ``path`` on ``fields``;
-    prints the verdict, returns 1 on drift.  Baseline scenarios absent
-    from ``records`` (a ``--scenarios`` subset) are skipped."""
-    import json
+def _scenario_record(result) -> dict:
+    """One scenario's BENCH record: the base verdict fields, plus the
+    incidents, resilience, tenants and fleet blocks when present."""
+    from repro.chaos import EXPECTED_FAIL
 
-    with open(path) as fh:
-        baseline = json.load(fh)
-    drift = []
-    for name, expected in sorted(baseline["scenarios"].items()):
-        got = records.get(name)
-        if got is None:
-            continue
-        for field in fields:
-            if got[field] != expected[field]:
-                drift.append(
-                    f"{name}: {field} {expected[field]!r} -> {got[field]!r}"
-                )
-    if not drift:
-        print(f"\n{label} baseline: OK")
-        return 0
-    print(f"\n{label} baseline drift:")
-    for line in drift:
-        print(f"  {line}")
-    return 1
+    report = result.report
+    record = {
+        "passed": result.passed,
+        "expected_fail": result.scenario.name in EXPECTED_FAIL,
+        "ops_ok": result.ops_ok,
+        "ops_failed": result.ops_failed,
+        "errors": result.errors,
+        "checks": report.checks,
+        "hung_ops": len(report.hung_ops),
+        "recovery_time_ms": report.recovery_time_ms,
+        "duration_ms": result.duration_ms,
+        "event_hash": result.event_hash,
+        "fault_log_hash": result.log_hash,
+    }
+    if result.incidents is not None:
+        record.update({
+            "incidents": len(result.incidents.incidents),
+            "alerts": result.incidents.alerts_total,
+            "mttd_ms": result.incidents.mttd_ms,
+            "top_suspect": report.top_suspect,
+        })
+    if result.resilience is not None:
+        snap = result.resilience
+        record.update({
+            "shed": snap["sheds"],
+            "deadline_expirations": snap["deadline_expirations"],
+            "deadline_violations": report.deadline_violations,
+            "breaker_opened": snap["breaker_opens"] > 0,
+            "breaker_opens": snap["breaker_opens"],
+            "breaker_transitions": snap["breaker_transitions"],
+            "stale_reads": snap["stale_reads"],
+            "budget_exhaustions": snap["budget_exhaustions"],
+            "baseline_goodput": report.baseline_goodput,
+            "recovered_goodput": report.recovered_goodput,
+        })
+    if result.tenant_counts is not None:
+        record.update({
+            "tenants": {
+                tenant: {"issued": c.issued, "ok": c.ok,
+                         "failed": c.failed, "errors": c.errors}
+                for tenant, c in sorted(result.tenant_counts.items())
+            },
+            "jain_min": report.jain_min,
+            "jain_recovered": report.jain_recovered,
+            "baseline_victim_p99_ms": report.baseline_victim_p99_ms,
+            "recovered_victim_p99_ms": report.recovered_victim_p99_ms,
+            "fairness_recovery_ms": report.fairness_recovery_ms,
+        })
+    if result.fleet is not None:
+        record.update({
+            "datanodes": len(result.fleet.nodes),
+            "datanodes_dead": len(result.fleet.tracker.dead()),
+            "blocks": len(result.fleet.blocks),
+            "repairs": len(result.fleet.scanner.records),
+            "lost_blocks": sorted(result.fleet.scanner.lost),
+            "replication_recovery_ms": report.replication_recovery_ms,
+        })
+    return record
+
+
+#: Matrix table columns after scenario and verdict, as (header, record
+#: field); a column shows when any scenario's record carries its field.
+_MATRIX_COLUMNS = (
+    ("ok", "ops_ok"), ("failed", "ops_failed"),
+    ("recovery", "recovery_time_ms"),
+    ("incidents", "incidents"), ("MTTD", "mttd_ms"),
+    ("top suspect", "top_suspect"),
+    ("sheds", "shed"), ("give-ups", "deadline_expirations"),
+    ("violations", "deadline_violations"),
+    ("breaker opens", "breaker_opens"),
+    ("events", "event_hash"),
+)
+
+
+def _matrix_cell(field: str, value):
+    if value is None:
+        return "-"
+    if field.endswith("_ms"):
+        return f"{value:.0f} ms"
+    if field == "event_hash":
+        return value[:12]
+    return value
+
+
+def _run_matrix(args, default_names, config, label: str) -> int:
+    """Run a scenario matrix (``--scenarios`` or ``default_names``) in
+    order under ``config``: print the table, write ``--bench-json``,
+    and exit 1 when any outcome differs from its expectation (the
+    expected-FAIL twins must fail)."""
+    from repro.chaos import builtin_scenarios, run_scenario
+
+    scenarios = builtin_scenarios()
+    names = list(args.scenarios or default_names)
+    unknown = [n for n in names if n not in scenarios]
+    if unknown:
+        print(f"unknown scenario(s): {unknown}", file=sys.stderr)
+        return 2
+    records = {}
+    exit_code = 0
+    for name in names:
+        result = run_scenario(scenarios[name], config)
+        records[name] = _scenario_record(result)
+        if result.passed == records[name]["expected_fail"]:
+            exit_code = 1
+            print(result.report.render())
+    columns = [
+        (header, field) for header, field in _MATRIX_COLUMNS
+        if any(field in record for record in records.values())
+    ]
+    rows = []
+    for name, record in records.items():
+        ok = record["passed"] != record["expected_fail"]
+        verdict = "PASS" if record["passed"] else "FAIL"
+        if record["expected_fail"] and ok:
+            verdict += " (expected)"
+        elif not ok:
+            verdict += " (!)"
+        rows.append([name, verdict] + [
+            _matrix_cell(field, record.get(field)) for _, field in columns
+        ])
+    print(tabulate(
+        ["scenario", "verdict"] + [header for header, _ in columns], rows
+    ))
+    if args.bench_json:
+        payload = {"version": 1, "seed": config.seed, "scenarios": records}
+        if config.detect:
+            payload["detection_window_ms"] = config.slo.detection_window_ms
+        _write_bench_json(args.bench_json, payload)
+    print(f"{label}:", "PASS" if exit_code == 0 else "FAIL")
+    return exit_code
 
 
 def _incident_rules(args):
@@ -655,8 +683,8 @@ def _cmd_incidents(args) -> int:
             print(f"\nincidents json: {args.json}")
         return 0
 
-    from repro.chaos import EXPECTED_FAIL, MATRIX, builtin_scenarios, \
-        load_scenario, run_scenario
+    from repro.chaos import MATRIX, builtin_scenarios, load_scenario, \
+        run_scenario
 
     if args.incidents_command == "run":
         if args.file:
@@ -678,63 +706,10 @@ def _cmd_incidents(args) -> int:
         return 0 if result.passed else 1
 
     if args.incidents_command == "matrix":
-        scenarios = builtin_scenarios()
-        names = (
-            list(args.scenarios) if args.scenarios
-            else list(MATRIX) + ["control"]
+        return _run_matrix(
+            args, MATRIX + ("control",), _chaos_run_config(args, detect=True),
+            "detection matrix",
         )
-        unknown = [n for n in names if n not in scenarios]
-        if unknown:
-            print(f"unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        config = _chaos_run_config(args, detect=True)
-        rows = []
-        records = {}
-        exit_code = 0
-        for name in names:
-            result = run_scenario(scenarios[name], config)
-            expected_fail = name in EXPECTED_FAIL
-            ok = result.passed != expected_fail
-            if not ok:
-                exit_code = 1
-                print(result.report.render())
-            incidents = result.incidents
-            mttd = incidents.mttd_ms
-            rows.append([
-                name,
-                ("PASS" if result.passed else "FAIL")
-                + (" (expected)" if expected_fail and ok else "")
-                + (" (!)" if not ok else ""),
-                len(incidents.incidents),
-                "-" if mttd is None else f"{mttd:.0f} ms",
-                result.report.top_suspect or "-",
-            ])
-            records[name] = {
-                "passed": result.passed,
-                "expected_fail": expected_fail,
-                "incidents": len(incidents.incidents),
-                "alerts": incidents.alerts_total,
-                "mttd_ms": mttd,
-                "top_suspect": result.report.top_suspect,
-                "event_hash": result.event_hash,
-                "fault_log_hash": result.log_hash,
-            }
-        print(tabulate(
-            ["scenario", "verdict", "incidents", "MTTD", "top suspect"], rows
-        ))
-        if args.bench_json:
-            _write_bench_json(args.bench_json, {
-                "version": 1, "seed": args.seed,
-                "detection_window_ms": config.slo.detection_window_ms,
-                "scenarios": records,
-            })
-        if args.baseline:
-            exit_code |= _check_baseline(
-                records, args.baseline, ("passed", "incidents", "top_suspect"),
-                label="detection",
-            )
-        print("detection matrix:", "PASS" if exit_code == 0 else "FAIL")
-        return exit_code
 
     raise ValueError(
         f"unknown incidents subcommand {args.incidents_command!r}"
@@ -758,12 +733,7 @@ def _resilience_config(args):
 
 
 def _cmd_resilience(args) -> int:
-    from repro.chaos import (
-        EXPECTED_FAIL,
-        RESILIENCE_MATRIX,
-        builtin_scenarios,
-        run_scenario,
-    )
+    from repro.chaos import RESILIENCE_MATRIX, builtin_scenarios, run_scenario
 
     scenarios = builtin_scenarios()
     default_names = list(RESILIENCE_MATRIX) + ["metastable-brownout-noshed"]
@@ -790,70 +760,9 @@ def _cmd_resilience(args) -> int:
         return _report_chaos_run(result, args.verbose)
 
     if args.resilience_command == "matrix":
-        names = list(args.scenarios) if args.scenarios else default_names
-        unknown = [n for n in names if n not in scenarios]
-        if unknown:
-            print(f"unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        config = _resilience_config(args)
-        rows = []
-        records = {}
-        exit_code = 0
-        for name in names:
-            result = run_scenario(scenarios[name], config)
-            expected_fail = name in EXPECTED_FAIL
-            ok = result.passed != expected_fail
-            if not ok:
-                exit_code = 1
-                print(result.report.render())
-            snap = result.resilience or {}
-            violations = result.report.deadline_violations
-            rows.append([
-                name,
-                ("PASS" if result.passed else "FAIL")
-                + (" (expected)" if expected_fail and ok else "")
-                + (" (!)" if not ok else ""),
-                result.ops_ok,
-                snap.get("sheds", 0),
-                snap.get("deadline_expirations", 0),
-                "-" if violations is None else violations,
-                snap.get("breaker_opens", 0),
-            ])
-            records[name] = {
-                "passed": result.passed,
-                "expected_fail": expected_fail,
-                "ops_ok": result.ops_ok,
-                "ops_failed": result.ops_failed,
-                "shed": snap.get("sheds", 0),
-                "deadline_expirations": snap.get("deadline_expirations", 0),
-                "deadline_violations": violations,
-                "breaker_opened": snap.get("breaker_opens", 0) > 0,
-                "breaker_opens": snap.get("breaker_opens", 0),
-                "breaker_transitions": snap.get("breaker_transitions", 0),
-                "stale_reads": snap.get("stale_reads", 0),
-                "budget_exhaustions": snap.get("budget_exhaustions", 0),
-                "baseline_goodput": result.report.baseline_goodput,
-                "recovered_goodput": result.report.recovered_goodput,
-                "event_hash": result.event_hash,
-                "fault_log_hash": result.log_hash,
-            }
-        print(tabulate(
-            ["scenario", "verdict", "ok", "sheds", "give-ups",
-             "violations", "breaker opens"],
-            rows,
-        ))
-        if args.bench_json:
-            _write_bench_json(args.bench_json, {
-                "version": 1, "seed": args.seed, "scenarios": records,
-            })
-        if args.baseline:
-            exit_code |= _check_baseline(
-                records, args.baseline,
-                ("passed", "deadline_violations", "breaker_opened", "shed"),
-                label="resilience",
-            )
-        print("resilience matrix:", "PASS" if exit_code == 0 else "FAIL")
-        return exit_code
+        return _run_matrix(
+            args, default_names, _resilience_config(args), "resilience matrix"
+        )
 
     raise ValueError(
         f"unknown resilience subcommand {args.resilience_command!r}"
@@ -1177,9 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    metavar="PATH",
                                    help="write the resilience baseline JSON "
                                         "(BENCH_resilience.json)")
-    resilience_matrix.add_argument("--baseline", default=None, metavar="PATH",
-                                   help="gate against a committed resilience "
-                                        "baseline (exit 1 on drift)")
     _chaos_knobs(resilience_matrix)
 
     for p in (resilience_run, resilience_matrix):
@@ -1219,9 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   metavar="PATH",
                                   help="write the detection baseline JSON "
                                        "(BENCH_incidents.json)")
-    incidents_matrix.add_argument("--baseline", default=None, metavar="PATH",
-                                  help="gate against a committed detection "
-                                       "baseline (exit 1 on drift)")
     _chaos_knobs(incidents_matrix)
 
     incidents_analyze = incidents_sub.add_parser(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Optional, Tuple
 
 
@@ -38,22 +37,21 @@ _WRITE_OPS = frozenset(
      OpType.SET_PERMISSION}
 )
 
-_request_ids = count(1)
-
-
 @dataclass
 class MetadataRequest:
     """One metadata RPC.
 
     ``tcp_servers`` carries the client VM's TCP server handles inside
     HTTP payloads so NameNodes can proactively connect back (§3.2).
+    ``request_id`` is keyword-only and required: the issuer draws it
+    from its environment (``env.next_id("request")``).
     """
 
     op: OpType
     path: str
     dst_path: Optional[str] = None
     recursive: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(kw_only=True)
     client_id: str = ""
     tcp_servers: Tuple = ()
     attempt: int = 1

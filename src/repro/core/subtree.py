@@ -137,7 +137,7 @@ class SubtreeProtocol:
 
         local_request = MetadataRequest(
             op=OpType.EXEC_BATCH, path="/", payload=batches[0],
-            trace_parent=trace_parent,
+            trace_parent=trace_parent, request_id=env.next_id("request"),
         )
         jobs = [env.process(leader._exec_batch(local_request, span))]
 
@@ -154,6 +154,7 @@ class SubtreeProtocol:
                 batch_request = MetadataRequest(
                     op=OpType.EXEC_BATCH, path="/", payload=batch,
                     trace_parent=trace_parent,
+                    request_id=env.next_id("request"),
                 )
                 jobs.append(env.process(self._offload(helper, batch_request)))
         else:
@@ -161,6 +162,7 @@ class SubtreeProtocol:
                 batch_request = MetadataRequest(
                     op=OpType.EXEC_BATCH, path="/", payload=batch,
                     trace_parent=trace_parent,
+                    request_id=env.next_id("request"),
                 )
                 jobs.append(env.process(leader._exec_batch(batch_request, span)))
         yield AllOf(env, jobs)

@@ -33,12 +33,23 @@ callback is cleared when it terminates, see docs/kernel.md), so default
 collector passes over the large live graph of clients, spans and
 cached INodes reclaim nothing and only cost wall time.  The policy
 never changes which events run or in what order.
+
+Run identity
+------------
+:meth:`Environment.next_id` numbers the actors and messages of a run
+(clients, VMs, TCP servers and connections, function instances,
+requests, baseline servers).  Each kind counts from 1 per environment,
+so a run is a function of its own seed and config: two runs in one
+process number their actors exactly as two fresh interpreters would.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import defaultdict
+from functools import partial
 from heapq import heappop
+from itertools import count
 from typing import Any, Generator, Optional
 
 from repro.sim.calendar import CalendarQueue
@@ -77,7 +88,7 @@ class Environment:
     __slots__ = (
         "_now", "_queue", "_eid_next", "_steps", "_active_proc",
         "_tracer", "_metrics", "_chaos", "_on_step", "instrumented",
-        "__dict__", "__weakref__",
+        "_ids", "__dict__", "__weakref__",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -95,6 +106,11 @@ class Environment:
         #: setters below; hot paths branch on it before touching the
         #: individual subsystems.
         self.instrumented = False
+        self._ids = defaultdict(partial(count, 1))
+
+    def next_id(self, kind: str) -> int:
+        """The next id of ``kind`` in this run (each kind counts from 1)."""
+        return next(self._ids[kind])
 
     @property
     def now(self) -> float:

@@ -24,7 +24,7 @@ SMALL = ChaosRunConfig(
 )
 
 
-def test_small_drop_scenario_survives(reset_sim_counters):
+def test_small_drop_scenario_survives():
     scenario = Scenario("drops", faults=(
         FaultSpec("tcp_drop", at_ms=700.0, duration_ms=800.0,
                   params={"p": 0.3}),
@@ -38,7 +38,7 @@ def test_small_drop_scenario_survives(reset_sim_counters):
     assert "PASS" in result.summary()
 
 
-def test_ack_loss_without_retry_is_caught(reset_sim_counters):
+def test_ack_loss_without_retry_is_caught():
     """The deliberately broken recovery path: a dropped ACK with
     redelivery disabled strands the writer, and the verifier says so."""
     scenario = Scenario("noretry", faults=(
@@ -56,7 +56,7 @@ def test_ack_loss_without_retry_is_caught(reset_sim_counters):
     assert "FAIL" in result.summary()
 
 
-def test_same_seed_same_event_and_fault_hashes(reset_sim_counters):
+def test_same_seed_same_event_and_fault_hashes():
     scenario = Scenario("repeat", faults=(
         FaultSpec("tcp_drop", at_ms=400.0, duration_ms=600.0,
                   params={"p": 0.4}),
@@ -64,7 +64,6 @@ def test_same_seed_same_event_and_fault_hashes(reset_sim_counters):
                   params={"interval_ms": 200.0, "policy": "random"}),
     ))
     first = run_scenario(scenario, SMALL)
-    reset_sim_counters()
     second = run_scenario(scenario, SMALL)
     assert first.event_hash == second.event_hash
     assert first.log_hash == second.log_hash
@@ -73,7 +72,7 @@ def test_same_seed_same_event_and_fault_hashes(reset_sim_counters):
     ]
 
 
-def test_run_matrix_collects_per_scenario_results(reset_sim_counters):
+def test_run_matrix_collects_per_scenario_results():
     scenarios = [
         Scenario("m1", faults=(
             FaultSpec("tcp_delay", at_ms=300.0, duration_ms=500.0,

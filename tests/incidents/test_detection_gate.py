@@ -30,7 +30,7 @@ def _baseline(name):
         return json.load(handle)["scenarios"][name]
 
 
-def test_ack_loss_detection_matches_baseline(reset_sim_counters):
+def test_ack_loss_detection_matches_baseline():
     result = run_scenario(get_scenario("ack-loss"), DETECT)
     assert result.passed, result.report.render()
     expect = _baseline("ack-loss")
@@ -39,18 +39,14 @@ def test_ack_loss_detection_matches_baseline(reset_sim_counters):
     assert report.alerts_total == expect["alerts"]
     top = report.incidents[0].top_suspect
     assert top.kind == expect["top_suspect"]
-    # The baseline is generated by `repro incidents matrix --bench-json`
-    # (scenarios run back-to-back in one process); a standalone run
-    # lands within a few ms of it but not bit-exact, so compare the
-    # semantic contract, not the float.
-    assert report.mttd_ms == pytest.approx(expect["mttd_ms"], abs=5.0)
+    assert report.mttd_ms == expect["mttd_ms"]
     assert result.report.top_suspect == expect["top_suspect"]
-    assert result.report.detection_ms == pytest.approx(
-        expect["mttd_ms"], abs=5.0)
+    assert result.report.detection_ms == expect["mttd_ms"]
+    assert result.event_hash == expect["event_hash"]
     assert any("PASS detection" in c for c in result.report.checks)
 
 
-def test_control_run_detects_nothing(reset_sim_counters):
+def test_control_run_detects_nothing():
     result = run_scenario(get_scenario("control"), DETECT)
     assert result.passed, result.report.render()
     assert result.incidents is not None
@@ -58,14 +54,11 @@ def test_control_run_detects_nothing(reset_sim_counters):
     assert "PASS detection: no faults, no incidents" in result.report.checks
 
 
-def test_detector_attachment_keeps_event_hash_byte_identical(
-    reset_sim_counters,
-):
+def test_detector_attachment_keeps_event_hash_byte_identical():
     """The single `is None` contract: a --detect run must replay the
     exact same simulation as a detector-off run."""
     scenario = get_scenario("ack-loss")
     plain = run_scenario(scenario, replace(DETECT, detect=False))
-    reset_sim_counters()
     detected = run_scenario(scenario, DETECT)
     assert plain.event_hash == detected.event_hash
     assert plain.log_hash == detected.log_hash

@@ -117,3 +117,10 @@ def test_event_value_before_trigger_raises():
     event = Event(env)
     with pytest.raises(AttributeError):
         _ = event.value
+
+
+def test_next_id_counts_from_one_per_kind_and_per_env():
+    first, second = Environment(), Environment()
+    assert [first.next_id("client") for _ in range(3)] == [1, 2, 3]
+    assert first.next_id("request") == 1
+    assert second.next_id("client") == 1

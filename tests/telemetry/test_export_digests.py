@@ -3,10 +3,9 @@
 Counters and histograms feed the incident rules, the chaos recovery
 gates and the tenant fairness math, so a refactor of how they are
 derived must leave every exported byte unchanged.  This runs a small
-``repro telemetry`` microbenchmark in a fresh interpreter (module-level
-id counters start from one, as they do for the CLI) and compares
-SHA-256 digests of the JSONL, CSV and Prometheus exports against the
-recorded values — once traced and once untraced, which must agree.
+``repro telemetry`` microbenchmark and compares SHA-256 digests of the
+JSONL, CSV and Prometheus exports against the recorded values — once
+traced and once untraced, which must agree.
 
 If a change moves a counter on purpose, re-record the digests with the
 command in ``_run`` and say in the change log which series moved and why.
@@ -14,14 +13,12 @@ command in ``_run`` and say in the change log which series moved and why.
 
 import hashlib
 import os
-import subprocess
-import sys
 
 import pytest
 
-pytestmark = pytest.mark.telemetry
+from repro.cli import main
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+pytestmark = pytest.mark.telemetry
 
 ARGS = [
     "--clients", "16", "--ops", "8", "--warmup", "8",
@@ -39,13 +36,8 @@ EXPECTED = {
 
 
 def _run(out, trace):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC)
-    command = [sys.executable, "-m", "repro", "telemetry", *ARGS,
-               "--out", str(out)]
-    if trace:
-        command.append("--trace")
-    subprocess.run(command, env=env, check=True, capture_output=True)
+    assert main(["telemetry", *ARGS, "--out", str(out)]
+                + (["--trace"] if trace else [])) == 0
     digests = {}
     for name in EXPECTED:
         with open(os.path.join(out, name), "rb") as handle:

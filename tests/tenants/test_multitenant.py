@@ -40,7 +40,7 @@ def test_mix_weights_cover_every_archetype():
         assert all(weight > 0 for weight in mix.values())
 
 
-def test_run_emits_per_tenant_series(reset_sim_counters):
+def test_run_emits_per_tenant_series():
     result = run_tenants(SMALL_CAST, SMALL_RUN)
     assert result.total_ops > 0
     for name in ("alpha", "beta"):
@@ -55,9 +55,8 @@ def test_run_emits_per_tenant_series(reset_sim_counters):
     assert stats == {"alpha", "beta"}
 
 
-def test_same_seed_same_hash(reset_sim_counters):
+def test_same_seed_same_hash():
     first = run_tenants(SMALL_CAST, SMALL_RUN)
-    reset_sim_counters()
     second = run_tenants(SMALL_CAST, SMALL_RUN)
     assert first.event_hash == second.event_hash
     assert {n: c.issued for n, c in first.counts.items()} == {
@@ -65,10 +64,9 @@ def test_same_seed_same_hash(reset_sim_counters):
     }
 
 
-def _hash_of_run(tagged: bool, reset) -> str:
+def _hash_of_run(tagged: bool) -> str:
     """One multi-tenant run with tracing on and telemetry OFF; with
     ``tagged=False`` the clients carry no tenant identity."""
-    reset()
     env = Environment()
     workload = MultiTenantWorkload(env, SMALL_CAST, seed=3)
     handle = build_lambdafs(
@@ -85,16 +83,16 @@ def _hash_of_run(tagged: bool, reset) -> str:
     return handle.tracer.event_hash()
 
 
-def test_tenant_labels_do_not_perturb_event_hash(reset_sim_counters):
+def test_tenant_labels_do_not_perturb_event_hash():
     """The acceptance gate: with telemetry off, tagging clients with
     tenant identities (span attrs only) must leave the kernel
     event-sequence hash byte-identical."""
-    tagged = _hash_of_run(True, reset_sim_counters)
-    untagged = _hash_of_run(False, reset_sim_counters)
+    tagged = _hash_of_run(True)
+    untagged = _hash_of_run(False)
     assert tagged == untagged
 
 
-def test_per_tenant_stage_sums_tile_op_latency(reset_sim_counters):
+def test_per_tenant_stage_sums_tile_op_latency():
     from dataclasses import replace
 
     result = run_tenants(SMALL_CAST, replace(SMALL_RUN, profile=True))
@@ -111,15 +109,12 @@ def test_per_tenant_stage_sums_tile_op_latency(reset_sim_counters):
             )
 
 
-def test_governed_compliant_run_hash_matches_ungoverned(
-    reset_sim_counters,
-):
+def test_governed_compliant_run_hash_matches_ungoverned():
     """A compliant cast never hits its budget, so attaching the
     governor must not change the event sequence."""
     from dataclasses import replace
 
     plain = run_tenants(SMALL_CAST, SMALL_RUN)
-    reset_sim_counters()
     governed = run_tenants(SMALL_CAST, replace(SMALL_RUN, governed=True))
     assert plain.event_hash == governed.event_hash
     assert governed.throttled == {}

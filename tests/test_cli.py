@@ -97,34 +97,23 @@ def test_chaos_run_from_json_file(tmp_path, capsys):
     assert "fault log:" in out
 
 
-def _baseline_file(tmp_path, scenarios):
-    import json
 
-    path = tmp_path / "BENCH_x.json"
-    path.write_text(json.dumps({"version": 1, "scenarios": scenarios}))
-    return str(path)
+def test_matrix_record_does_not_depend_on_earlier_runs():
+    """A scenario's matrix record is a function of its seed and config
+    alone: running another scenario first in the same process changes
+    nothing (ids are numbered per Environment)."""
+    from repro.chaos import (
+        ChaosRunConfig,
+        RecoverySLO,
+        builtin_scenarios,
+        run_scenario,
+    )
+    from repro.cli import _scenario_record
 
-
-def test_check_baseline_unchanged_is_ok(tmp_path, capsys):
-    from repro.cli import _check_baseline
-
-    records = {"a": {"passed": True, "shed": 0, "extra": 1.5}}
-    path = _baseline_file(tmp_path, {"a": {"passed": True, "shed": 0,
-                                           "extra": 9.0}})
-    assert _check_baseline(records, path, ("passed", "shed"), label="x") == 0
-    assert "x baseline: OK" in capsys.readouterr().out
-
-
-def test_check_baseline_flipped_field_is_drift(tmp_path, capsys):
-    from repro.cli import _check_baseline
-
-    records = {"a": {"passed": False, "shed": 0}}
-    path = _baseline_file(tmp_path, {
-        "a": {"passed": True, "shed": 0},
-        "not-run": {"passed": True, "shed": 3},
-    })
-    assert _check_baseline(records, path, ("passed", "shed"), label="x") == 1
-    out = capsys.readouterr().out
-    assert "x baseline drift:" in out
-    assert "  a: passed True -> False" in out
-    assert "not-run" not in out
+    config = ChaosRunConfig(clients=4, think_ms=10.0, drain_ms=1_500.0,
+                            slo=RecoverySLO(window_ms=1_200.0))
+    scenarios = builtin_scenarios()
+    alone = _scenario_record(run_scenario(scenarios["ack-loss"], config))
+    run_scenario(scenarios["nn-kills"], config)
+    after = _scenario_record(run_scenario(scenarios["ack-loss"], config))
+    assert after == alone
