@@ -5,10 +5,13 @@
 #
 #   scripts/check_baselines.sh                      # every baseline below
 #   scripts/check_baselines.sh datanode resilience  # a subset, by name
+#   scripts/check_baselines.sh --update [name...]   # re-record on purpose
 #
-# Exits non-zero if any file drifts or any command fails.  To re-record
-# a baseline on purpose, run its command with --bench-json BENCH_<name>.json
-# and explain each moved hash in the change log.
+# Exits non-zero if any file drifts or any command fails.  --update
+# prints each drift the same way, then overwrites the committed file
+# with the output of the command below (never a hand-typed one), and
+# exits non-zero only if a command fails.  Explain each moved hash in
+# the change log.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -23,6 +26,11 @@ declare -A COMMANDS=(
 )
 ORDER=(chaos datanode tenants incidents resilience profile)
 
+update=0
+if [ "${1:-}" = "--update" ]; then
+    update=1
+    shift
+fi
 names=("$@")
 [ ${#names[@]} -gt 0 ] || names=("${ORDER[@]}")
 
@@ -40,8 +48,11 @@ for name in "${names[@]}"; do
         status=1
     elif diff -u "$file" "$out/$file"; then
         echo "baseline ok: $file"
+    elif [ $update -eq 1 ]; then
+        cp "$out/$file" "$file"
+        echo "baseline updated: $file (repro $command --bench-json $file)"
     else
-        echo "baseline drift: $file (regenerate: repro $command --bench-json $file)"
+        echo "baseline drift: $file (re-record: scripts/check_baselines.sh --update $name)"
         status=1
     fi
 done

@@ -214,7 +214,7 @@ class _LambdaIndexFSFunction:
             existing = yield from db.get(key)
         if existing is not None:
             return ("err", "AlreadyExists", False)
-        yield from self.system.coordinator.invalidate(
+        yield self.system.coordinator.invalidate(
             self.deployment_name, paths=[path], exclude=[self.member_id]
         )
         row = {"path": path}

@@ -5,7 +5,8 @@ The Coordinator implements exactly what Algorithm 1 needs:
 1. a registry of live NameNode instances per deployment (with
    liveness notifications on termination);
 2. reliable delivery of invalidations (INVs) to every live member of
-   a deployment, and collection of their ACKs;
+   a deployment, and collection of their ACKs (one publish timer and
+   one ACK timer per round serve every member, in registration order);
 3. the rule that *"ACKs are not required from NameNodes that
    terminate mid-protocol"* — a member that deregisters while an INV
    is outstanding is dropped from the pending set so writers never
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Dict, Generator, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro.sim import Environment, Event
 
@@ -61,14 +62,18 @@ class Invalidation:
         return self.prefix is not None
 
 
-class _PendingInv:
-    __slots__ = ("waiting", "event")
+class _Round:
+    """One INV round: the members still owing an ACK and the writer's wait."""
 
-    def __init__(self, env: Environment, members: Set[str]) -> None:
-        self.waiting = set(members)
+    __slots__ = ("inv", "targets", "waiting", "event", "tracer", "span", "member_spans")
+
+    def __init__(self, env: Environment, inv: Invalidation, targets: list) -> None:
+        self.inv = inv
+        self.targets = targets
+        self.waiting = {member_id for member_id, _ in targets}
         self.event = Event(env)
-        if not self.waiting:
-            self.event.succeed(0)
+        self.tracer = env.tracer
+        self.span = self.member_spans = None
 
 
 class Coordinator:
@@ -79,7 +84,7 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         # deployment -> member_id -> INV handler callback
         self._members: Dict[str, Dict[str, Callable[[Invalidation], None]]] = {}
-        self._pending: Dict[int, _PendingInv] = {}
+        self._pending: Dict[int, _Round] = {}
         self._inv_ids = count(1)
         self._death_watchers: Dict[str, list] = {}
         self.invs_sent = 0
@@ -101,15 +106,11 @@ class Coordinator:
         Outstanding INVs waiting on this member are released, per the
         "no ACK required from terminated NameNodes" rule.
         """
-        members = self._members.get(deployment, {})
-        members.pop(member_id, None)
-        for pending in list(self._pending.values()):
-            if member_id in pending.waiting:
-                pending.waiting.discard(member_id)
-                if not pending.waiting and not pending.event.triggered:
-                    pending.event.succeed(0)
+        self._members.get(deployment, {}).pop(member_id, None)
+        for round_ in list(self._pending.values()):
+            self._release(round_, member_id)
         for callback in self._death_watchers.pop(member_id, []):
-            self.env.process(self._notify_death(callback, member_id))
+            self.env.call_later(self.config.watch_ms, lambda _, cb=callback: cb(member_id))
 
     def live_members(self, deployment: str) -> Set[str]:
         """Ids of instances currently alive in ``deployment``."""
@@ -134,10 +135,6 @@ class Coordinator:
         """Invoke ``callback(member_id)`` when the member deregisters."""
         self._death_watchers.setdefault(member_id, []).append(callback)
 
-    def _notify_death(self, callback: Callable[[str], None], member_id: str) -> Generator:
-        yield self.env.timeout(self.config.watch_ms)
-        callback(member_id)
-
     # -- coherence messaging ------------------------------------------------
     def invalidate(
         self,
@@ -147,45 +144,53 @@ class Coordinator:
         exclude: Iterable[str] = (),
         initiator: str = "",
         trace_parent=None,
-    ) -> Generator:
-        """Send an INV to every live member and wait for all ACKs.
+    ) -> Event:
+        """Send an INV to every live member; the returned event fires
+        once all of them have ACKed, with the number contacted as value.
 
         ``exclude`` names members (typically the leader itself) that
         invalidate locally and need no message.  ``initiator`` tags the
         round with the writing NameNode's id so the coherence checker
-        can pair it with that writer's commit.  Returns the number of
-        members that were contacted.
+        can pair it with that writer's commit.
         """
-        inv = Invalidation(
-            inv_id=next(self._inv_ids),
-            deployment=deployment,
-            paths=tuple(paths),
-            prefix=prefix,
-        )
+        inv = Invalidation(next(self._inv_ids), deployment, tuple(paths), prefix)
         excluded = set(exclude)
-        targets = {
-            member_id: handler
+        targets = [
+            (member_id, handler)
             for member_id, handler in self._members.get(deployment, {}).items()
             if member_id not in excluded
-        }
-        tracer = self.env.tracer
-        round_span = None
+        ]
+        round_ = _Round(self.env, inv, targets)
+        tracer = round_.tracer
         if tracer is not None:
-            round_span = tracer.begin(
+            span = round_.span = tracer.begin(
                 "coord.inv", initiator or "coordinator", parent=trace_parent,
                 inv_id=inv.inv_id, deployment=deployment, paths=inv.paths,
                 prefix=prefix, initiator=initiator, members=len(targets),
             )
-        pending = _PendingInv(self.env, set(targets))
-        self._pending[inv.inv_id] = pending
-        for member_id, handler in targets.items():
-            self.invs_sent += 1
-            self.env.process(self._deliver(inv, member_id, handler, round_span))
-        yield pending.event
-        self._pending.pop(inv.inv_id, None)
-        if tracer is not None:
-            tracer.end(round_span)
-        return len(targets)
+            # One per-member publish→ACK leg: the slowest of these is
+            # the coherence round's critical path.
+            round_.member_spans = {
+                member_id: tracer.begin(
+                    "coord.member", member_id, parent=span, inv_id=inv.inv_id
+                )
+                for member_id, _ in targets
+            }
+            # The round closes in the step that processes its
+            # completion event, not at the last ACK: a commit at that
+            # same instant must still see the round open.
+            round_.event.subscribe(lambda _: tracer.end(span))
+        self.invs_sent += len(targets)
+        if targets:
+            self._pending[inv.inv_id] = round_
+            self.env.call_later(
+                self.config.publish_ms, lambda _: self._publish(round_, targets, 1)
+            )
+        else:
+            # Nobody to wait for, but end a step later all the same: a
+            # writer committing now without waiting commits inside it.
+            self.env.call_later(0.0, lambda _: round_.event.succeed(0))
+        return round_.event
 
     def ack(self, inv_id: int, member_id: str) -> None:
         """Record one member's ACK for ``inv_id``."""
@@ -193,74 +198,73 @@ class Coordinator:
         tracer = self.env.tracer
         if tracer is not None:
             tracer.point("coord.ack", member_id, inv_id=inv_id)
-        pending = self._pending.get(inv_id)
-        if pending is None:
-            return
-        pending.waiting.discard(member_id)
-        if not pending.waiting and not pending.event.triggered:
-            pending.event.succeed(0)
+        round_ = self._pending.get(inv_id)
+        if round_ is not None:
+            self._release(round_, member_id)
 
-    def _deliver(
-        self,
-        inv: Invalidation,
-        member_id: str,
-        handler: Callable[[Invalidation], None],
-        round_span=None,
-    ) -> Generator:
-        tracer = self.env.tracer
-        member_span = None
-        if tracer is not None:
-            # One per-member publish→ACK leg: the slowest of these is
-            # the coherence round's critical path.
-            member_span = tracer.begin(
-                "coord.member", member_id, parent=round_span,
-                inv_id=inv.inv_id,
-            )
-        attempt = 0
-        while True:
-            attempt += 1
-            yield self.env.timeout(self.config.publish_ms)
+    def _release(self, round_: _Round, member_id: str) -> None:
+        """``member_id`` owes ``round_`` nothing more (ACKed or gone)."""
+        round_.waiting.discard(member_id)
+        if not round_.waiting:
+            del self._pending[round_.inv.inv_id]
+            round_.event.succeed(len(round_.targets))
+
+    def _publish(self, round_: _Round, wave: list, attempt: int) -> None:
+        inv = round_.inv
+        tracer = round_.tracer
+        live = self._members.get(inv.deployment, {})
+        delivered = []
+        for member_id, handler in wave:
             # The member may have died in flight; deregistration
-            # already released the pending set in that case.
-            live = self._members.get(inv.deployment, {})
+            # already released it from the round in that case.
             if member_id not in live:
                 if tracer is not None:
-                    tracer.end(member_span, delivered=False)
-                return
+                    tracer.end(round_.member_spans[member_id], delivered=False)
+                continue
             if tracer is not None:
                 # From this instant, any cached copy of these paths on
                 # the member is stale by protocol — emitted *before*
                 # the handler runs so a broken handler cannot hide
                 # staleness from the coherence checker.
                 tracer.point(
-                    "coord.inv_deliver", member_id, parent=round_span,
+                    "coord.inv_deliver", member_id, parent=round_.span,
                     inv_id=inv.inv_id, paths=inv.paths, prefix=inv.prefix,
                 )
             handler(inv)
-            yield self.env.timeout(self.config.ack_ms)
-            chaos = self.env.chaos
-            if chaos is not None and chaos.ack_should_drop(
-                inv.deployment, member_id
-            ):
+            delivered.append((member_id, handler))
+        if delivered:
+            self.env.call_later(
+                self.config.ack_ms, lambda _: self._collect(round_, delivered, attempt)
+            )
+
+    def _collect(self, round_: _Round, wave: list, attempt: int) -> None:
+        inv = round_.inv
+        tracer = round_.tracer
+        chaos = self.env.chaos
+        dropped = []
+        for member_id, handler in wave:
+            if chaos is not None and chaos.ack_should_drop(inv.deployment, member_id):
                 if tracer is not None:
                     tracer.point(
-                        "chaos.ack_drop", member_id, parent=round_span,
+                        "chaos.ack_drop", member_id, parent=round_.span,
                         inv_id=inv.inv_id, attempt=attempt,
                     )
-                if attempt > self.config.ack_max_retries:
+                if attempt <= self.config.ack_max_retries:
+                    dropped.append((member_id, handler))
+                elif tracer is not None:
                     # Redelivery exhausted (or disabled): the writer
                     # stays blocked until this member deregisters.
-                    if tracer is not None:
-                        tracer.end(member_span, delivered=True, acked=False)
-                    return
-                # Handlers are idempotent: redeliver the whole INV
-                # after a short backoff and collect the ACK again.
-                yield self.env.timeout(self.config.ack_retry_ms)
+                    tracer.end(round_.member_spans[member_id], delivered=True, acked=False)
                 continue
             if tracer is not None:
-                tracer.end(member_span, delivered=True)
+                tracer.end(round_.member_spans[member_id], delivered=True)
             self.ack(inv.inv_id, member_id)
-            return
+        if dropped:
+            # Handlers are idempotent: redeliver the whole INV after a
+            # short backoff and collect the ACKs again.
+            self.env.call_later(self.config.ack_retry_ms, lambda _: self.env.call_later(
+                self.config.publish_ms, lambda _: self._publish(round_, dropped, attempt + 1)
+            ))
 
 
 class ZooKeeperCoordinator(Coordinator):

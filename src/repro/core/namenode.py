@@ -602,43 +602,38 @@ class LambdaNameNode:
         # Sets of strings iterate in a per-process salted order; sort
         # so the INV fan-out (and therefore the event sequence) is a
         # function of the seed alone.
-        by_deployment: Dict[str, List[str]] = {}
+        paths = sorted(set(affected_paths))
+        partitioner = self.fs.partitioner
         if broadcast:
-            for deployment in self.fs.partitioner.deployment_names():
-                by_deployment[deployment] = sorted(set(affected_paths))
+            by_deployment = dict.fromkeys(partitioner.deployment_names(), paths)
         else:
-            for path in sorted(set(affected_paths)):
-                deployment = self.fs.partitioner.deployment_for(path)
-                by_deployment.setdefault(deployment, []).append(path)
-        env = self.fs.env
-        waits = []
-        for deployment, paths in by_deployment.items():
-            exclude = [self.member_id] if deployment == self.deployment_name else []
-            waits.append(env.process(
-                self.fs.coordinator.invalidate(
-                    deployment, paths=paths, exclude=exclude,
-                    initiator=self.member_id, trace_parent=trace_parent,
-                )
-            ))
+            by_deployment = {}
+            for path in paths:
+                by_deployment.setdefault(partitioner.deployment_for(path), []).append(path)
+        # The leader invalidates its own cache locally, not by INV.
+        waits = [
+            self.fs.coordinator.invalidate(
+                deployment, paths=batch, exclude=(self.member_id,),
+                initiator=self.member_id, trace_parent=trace_parent,
+            )
+            for deployment, batch in by_deployment.items()
+        ]
         if waits:
-            yield AllOf(env, waits)
+            yield AllOf(self.fs.env, waits)
 
     def run_subtree_coherence(
         self, prefix: str, deployments: List[str], trace_parent=None
     ) -> Generator:
         """One prefix INV per deployment caching subtree metadata."""
-        env = self.fs.env
-        waits = []
-        for deployment in deployments:
-            exclude = [self.member_id] if deployment == self.deployment_name else []
-            waits.append(env.process(
-                self.fs.coordinator.invalidate(
-                    deployment, prefix=prefix, exclude=exclude,
-                    initiator=self.member_id, trace_parent=trace_parent,
-                )
-            ))
+        waits = [
+            self.fs.coordinator.invalidate(
+                deployment, prefix=prefix, exclude=(self.member_id,),
+                initiator=self.member_id, trace_parent=trace_parent,
+            )
+            for deployment in deployments
+        ]
         if waits:
-            yield AllOf(env, waits)
+            yield AllOf(self.fs.env, waits)
         # Leader applies the same invalidation to its own cache.
         self._invalidate_prefix_local(prefix)
 

@@ -50,7 +50,7 @@ from collections import defaultdict
 from functools import partial
 from heapq import heappop
 from itertools import count
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import Event, Process, Timeout
@@ -186,6 +186,12 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator)
 
+    def call_later(self, delay: float, callback: Callable[[Event], None]) -> Timeout:
+        """Run ``callback(timer)`` after ``delay``: one event, no process."""
+        timer = Timeout(self, delay)
+        timer.callbacks = callback  # sole subscriber of a fresh timer
+        return timer
+
     # -- scheduling ---------------------------------------------------
     def schedule(
         self,
@@ -256,15 +262,9 @@ class Environment:
                 stop_event._ok = True
                 stop_event._value = None
 
-            callbacks = stop_event.callbacks
-            if callbacks is None:
+            if stop_event.callbacks is None:
                 raise ValueError(f"until event {stop_event!r} already processed")
-            if type(callbacks) is tuple:  # no subscribers yet
-                stop_event.callbacks = _stop_callback
-            elif type(callbacks) is list:
-                callbacks.append(_stop_callback)
-            else:  # one existing subscriber: upgrade to a list
-                stop_event.callbacks = [callbacks, _stop_callback]
+            stop_event.subscribe(_stop_callback)
 
         # The body of :meth:`step` inlined with attribute chases hoisted
         # into locals — including :meth:`CalendarQueue.pop` itself.  The

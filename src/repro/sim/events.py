@@ -51,8 +51,9 @@ compact tagged representation instead of always allocating a list:
 * ``None`` — already processed.
 
 The kernel's subscription sites (``Process._resume``, ``Condition``,
-``Environment.run``) upgrade the representation in place; external
-code must not assume ``callbacks`` is a list.
+:meth:`Event.subscribe`) upgrade the representation in place; external
+code subscribes through :meth:`Event.subscribe` or
+``Environment.call_later`` and must not touch ``callbacks`` itself.
 """
 
 
@@ -126,6 +127,19 @@ class Event:
     def defused(self) -> None:
         """Mark a failed event as handled so it will not crash the run."""
         self._defused = True
+
+    def subscribe(self, callback: Callable[["Event"], None]) -> None:
+        """Run ``callback(self)`` when the event is processed, after any
+        earlier subscriber (keeps the tagged ``callbacks`` form)."""
+        callbacks = self.callbacks
+        if callbacks is None:
+            raise RuntimeError(f"{self!r} has already been processed")
+        if callbacks is _NO_CALLBACKS:
+            self.callbacks = callback
+        elif type(callbacks) is list:
+            callbacks.append(callback)
+        else:  # one existing subscriber: upgrade to a list
+            self.callbacks = [callbacks, callback]
 
     # -- composition -------------------------------------------------
     def __and__(self, other: "Event") -> "Condition":

@@ -12,6 +12,7 @@ their second roll over to the next, so an overloaded system visibly
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Sequence
@@ -95,8 +96,11 @@ class SpotifyWorkload:
         serial = 0
         start = env.now
         deadline = start + self.config.duration_ms
+        # Sleeping to a second boundary can land a ulp short of it, so
+        # the clock alone could start one second past the duration.
+        seconds = math.ceil(self.config.duration_ms / 1_000.0)
         second = 0
-        while env.now < deadline:
+        while second < seconds and env.now < deadline:
             second_start = start + second * 1_000.0
             owed += self.target_at(second_start - start) / total_clients
             # Closed loop: issue operations back-to-back until this

@@ -1,9 +1,10 @@
 """ACK redelivery and the deregister/INV races under injected ACK loss.
 
 These drive the Coordinator directly with a stub ``env.chaos`` that
-implements only ``ack_should_drop`` — the single hook ``_deliver``
-consults — so the retry loop and the "no ACK required from terminated
-NameNodes" rule can be pinned down without a full system.
+implements only ``ack_should_drop`` — the single hook the round's ACK
+timer (``Coordinator._collect``) consults — so redelivery and the "no
+ACK required from terminated NameNodes" rule can be pinned down
+without a full system.
 """
 
 import pytest
@@ -43,7 +44,7 @@ def make_env_and_coord(**config_overrides):
 
 
 def start_invalidate(env, coord, deployment="d", paths=("/x",)):
-    return env.process(coord.invalidate(deployment, paths=paths))
+    return coord.invalidate(deployment, paths=paths)
 
 
 def test_redelivery_collects_ack_after_drops():
@@ -73,7 +74,7 @@ def test_completion_time_includes_retry_backoff():
     finished = []
 
     def writer(env):
-        yield from coord.invalidate("d", paths=("/x",))
+        yield coord.invalidate("d", paths=("/x",))
         finished.append(env.now)
 
     env.process(writer(env))
@@ -97,15 +98,15 @@ def test_deregister_mid_retry_releases_the_waiter():
     coord.deregister("d", "b")
     env.run(until=40.0)
     assert done.triggered
-    # b's in-flight redelivery hits the liveness check and exits the
-    # loop without a late ACK: no double count, no hung waiter.
+    # b's in-flight redelivery hits the liveness check and is dropped
+    # without a late ACK: no double count, no hung waiter.
     assert coord.acks_received == 1
     assert coord._pending == {}
 
 
 def test_retry_disabled_strands_writer_until_deregister():
     """ack_max_retries=0 is the deliberately broken path: one dropped
-    ACK and the deliver loop gives up for good."""
+    ACK and the round gives up on that member for good."""
     env, coord = make_env_and_coord(ack_retry_ms=5.0, ack_max_retries=0)
     coord.register("d", "b", lambda inv: None)
     env.chaos = AckChaos({"b": 1})  # a single drop is now fatal
@@ -136,7 +137,7 @@ def test_deregister_racing_inflight_ack_does_not_double_trigger():
     env.process(killer(env))
     env.run(until=10.0)
     assert done.triggered
-    # The deliver loop still records its ACK at t=0.8 (the message was
+    # The round's ACK timer still records its ACK at t=0.8 (it was
     # in flight), but the pending entry is gone: nothing re-triggers.
     assert coord.acks_received == 1
     assert coord._pending == {}

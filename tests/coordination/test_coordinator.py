@@ -46,7 +46,7 @@ def test_invalidate_delivers_to_all_members():
     done = []
 
     def leader(env):
-        contacted = yield from coord.invalidate("d1", paths=["/a"])
+        contacted = yield coord.invalidate("d1", paths=["/a"])
         done.append((env.now, contacted))
 
     run(env, leader(env))
@@ -63,7 +63,7 @@ def test_invalidate_excludes_leader():
     coord.register("d1", "nn2", lambda inv: received.append("nn2"))
 
     def leader(env):
-        yield from coord.invalidate("d1", paths=["/a"], exclude=["leader"])
+        yield coord.invalidate("d1", paths=["/a"], exclude=["leader"])
 
     run(env, leader(env))
     assert received == ["nn2"]
@@ -75,7 +75,7 @@ def test_invalidate_empty_deployment_completes_immediately():
     done = []
 
     def leader(env):
-        contacted = yield from coord.invalidate("ghost", paths=["/a"])
+        contacted = yield coord.invalidate("ghost", paths=["/a"])
         done.append((env.now, contacted))
 
     run(env, leader(env))
@@ -91,7 +91,7 @@ def test_dead_member_does_not_block_acks():
     done = []
 
     def leader(env):
-        yield from coord.invalidate("d1", paths=["/a"])
+        yield coord.invalidate("d1", paths=["/a"])
         done.append(env.now)
 
     def killer(env):

@@ -56,6 +56,30 @@ def test_callbacks_upgrade_tuple_to_callable_to_list():
     assert sorted(woken) == [("a", "v"), ("b", "v")]
 
 
+def test_subscribe_keeps_order_and_the_tagged_form():
+    env = Environment()
+    gate = Event(env)
+    seen = []
+    gate.subscribe(lambda event: seen.append(("first", event.value)))
+    assert callable(gate.callbacks)  # sole subscriber: bare callable
+    gate.subscribe(lambda event: seen.append(("second", event.value)))
+    assert type(gate.callbacks) is list
+    gate.succeed(7)
+    env.run()
+    assert seen == [("first", 7), ("second", 7)]
+    with pytest.raises(RuntimeError):
+        gate.subscribe(lambda event: None)  # already processed
+
+
+def test_call_later_is_one_event_and_no_process():
+    env = Environment()
+    fired = []
+    timer = env.call_later(2.5, lambda event: fired.append((env.now, event)))
+    env.run()
+    assert fired == [(2.5, timer)]
+    assert env.steps == 1
+
+
 def test_interrupt_tombstones_instead_of_removing():
     env = Environment()
     gate = Event(env)

@@ -266,18 +266,18 @@ def test_broken_coherence_is_caught(monkeypatch):
         by_deployment = {}
         if broadcast:
             for deployment in self.fs.partitioner.deployment_names():
-                by_deployment[deployment] = list(set(affected_paths))
+                by_deployment[deployment] = sorted(set(affected_paths))
         else:
-            for path in set(affected_paths):
+            for path in sorted(set(affected_paths)):
                 deployment = self.fs.partitioner.deployment_for(path)
                 by_deployment.setdefault(deployment, []).append(path)
         env = self.fs.env
         for deployment, paths in by_deployment.items():
             exclude = [self.member_id] if deployment == self.deployment_name else []
-            env.process(self.fs.coordinator.invalidate(
+            self.fs.coordinator.invalidate(
                 deployment, paths=paths, exclude=exclude,
                 initiator=self.member_id, trace_parent=trace_parent,
-            ))
+            )
         yield env.timeout(0.0)   # does NOT wait for the ACKs
 
     monkeypatch.setattr(LambdaNameNode, "run_coherence", fire_and_forget)

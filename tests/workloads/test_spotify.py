@@ -9,15 +9,16 @@ from repro.workloads import SPOTIFY_MIX, SpotifyConfig, SpotifyWorkload
 
 
 class CountingClient:
-    """Records operations without any simulated cost."""
+    """Records operations at a fixed, negligible simulated cost."""
 
-    def __init__(self, env):
+    def __init__(self, env, latency=0.01):
         self.env = env
+        self.latency = latency
         self.ops = []
 
     def _record(self, op, path):
         self.ops.append((op, path))
-        yield self.env.timeout(0.01)
+        yield self.env.timeout(self.latency)
 
         class R:  # minimal response
             ok = True
@@ -132,3 +133,23 @@ def test_rollover_when_clients_slow(tree):
     # A slow client cannot reach the target; it completes what it can.
     assert workload.completed < workload.schedule[0] * 5
     assert workload.completed > 0
+
+
+def test_float_drift_does_not_add_a_second(tree):
+    """Sleeping from the end of the last op to the deadline can land one
+    ulp short of it; the workload must still stop at its duration
+    instead of running one more second clamped to the last target."""
+    start, latency = 18.278597427366662, 281.32139788991157
+    op_end, deadline = start + latency, start + 1_000.0
+    assert op_end + (deadline - op_end) < deadline  # the drift is real here
+    env = Environment(initial_time=start)
+    config = SpotifyConfig(base_throughput=1, duration_ms=1_000.0, seed=1)
+    workload = SpotifyWorkload(env, config, tree)
+    asked = []
+    target_at = workload.target_at
+    workload.target_at = lambda time_ms: asked.append(time_ms) or target_at(time_ms)
+    client = CountingClient(env, latency=latency)
+    env.process(workload.run([client]))
+    env.run()
+    assert len(client.ops) == 1
+    assert asked == [0.0]
